@@ -51,16 +51,6 @@ def _emit(path, header, rows, fmt, stamp=True):
             out.close()
 
 
-def _inner_corner(dom):
-    for c in sorted(dom.corners):
-        p, _ = lattice.corner_neighbors(c)
-        if p in dom.vertices and all(
-                (p[0] + s[0], p[1] + s[1]) in dom.vertices
-                for s in lattice.DIAG_STEPS):
-            return c
-    raise SystemExit("domain has no interior corner")
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -72,7 +62,7 @@ def cmd_exact_check(cfg) -> int:
     inject = bool(cfg.get("inject_bug", False))
     dom = lattice.build_rectangle(1.0, size, size)
     cov = lattice.make_cover(dom, [])
-    src = _inner_corner(dom)
+    src = lattice.inner_corner(dom)
     field = exact.fermion_field(dom, cov, src)
     rows = []
     worst = 0.0
@@ -124,7 +114,7 @@ def cmd_bvp(cfg) -> int:
     dom = lattice.build_rectangle(1.0, size, size)
     points = [tuple(p) for p in cfg.get("ramification", [])]
     cov = lattice.make_cover(dom, points)
-    src = _inner_corner(dom)
+    src = lattice.inner_corner(dom)
     sol = sholo.solve_observable(dom, cov, src)
     rows = [(x, y, sheet, re, im, "bvp_spinor")
             for x, y, sheet, re, im in sol.csv_rows()]

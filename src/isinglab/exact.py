@@ -1,10 +1,13 @@
-"""Brute-force enumeration of the critical Ising model on small domains.
+"""Exact sums for the critical Ising model on small domains.
 
 Partition functions and correlations (spin, disorder, energy, fermionic,
-plus/minus boundary conditions) are computed by vectorized enumeration over
-all configurations of the free spins.  Complement components with wired
-(unpinned) boundary get one extra binary variable each; free arcs are
-excluded from the energy.
+plus/minus boundary conditions) are computed exactly by contracting the
+Boltzmann weight one variable at a time over a moving frontier, as in the
+row transfer matrix.  Complement components with wired (unpinned) boundary
+get one extra binary variable each, which joins the frontier first; free
+arcs are excluded from the energy.  A sum costs O(V * 2^w) for a frontier
+of w variables, so what limits the domain is its width (MAX_FRONTIER
+variables), not its number of spins.
 
 Serves as the ground-truth oracle for the solver and Monte Carlo modules.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +29,12 @@ from .lattice import (
 
 BETA_CRIT = 0.5 * math.log(math.sqrt(2.0) + 1.0)
 
-MAX_FREE_SPINS = 28
-_CHUNK = 1 << 20
+# Widest frontier contracted, in variables: a table of 2^22 doubles is 32 MB.
+MAX_FRONTIER = 22
+_TABLE_ENTRIES = 1 << MAX_FRONTIER
+
+_PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_FIELD_SIGNS = np.array([1.0, -1.0])
 
 
 class EnumerationError(ValueError):
@@ -48,8 +55,20 @@ class _Expr:
     var: int | None
 
 
+@dataclass
+class _Step:
+    """Adding one variable to the frontier: its couplings to variables
+    already there (broadcast shape, pair number), then the table axes
+    summed out because every neighbour of their variable is in."""
+    var: int
+    couplings: list
+    field_shape: tuple
+    sign_shape: tuple
+    eliminate: tuple
+
+
 class Enumeration:
-    """Vectorized configuration sums for one domain and boundary treatment.
+    """Exact configuration sums for one domain and boundary treatment.
 
     mode:
       "standard"  wired arcs monochromatic per complement component (one
@@ -57,6 +76,11 @@ class Enumeration:
       "pinned"    plus/minus arcs frozen to +-1 per a PMBoundarySpec
       "mono"      locally monochromatic: one bit per component, sign flipped
                   at each separation point of the PMBoundarySpec
+
+    The energy is reduced once to pair couplings, one-variable fields and a
+    constant; each `sums` call contracts a table of shape
+    (observables, 2^frontier) vertex by vertex, sweeping along the lattice
+    axis that keeps the frontier narrower.
     """
 
     def __init__(self, domain: MeshDomain, mode: str = "standard",
@@ -70,11 +94,9 @@ class Enumeration:
             v: _Expr(1, i) for v, i in self.vert_index.items()}
         nbits = self._assign_outer(pm)
         self.n_free = len(verts) + nbits
-        if self.n_free > MAX_FREE_SPINS:
-            raise EnumerationError(
-                f"{self.n_free} free spins exceeds the enumeration limit "
-                f"of {MAX_FREE_SPINS}")
         self._build_edges()
+        self._reduce_energy()
+        self._plan(verts)
 
     # -- boundary assignment -------------------------------------------
 
@@ -156,36 +178,31 @@ class Enumeration:
             a, b = self.exprs[vin], self.exprs[vout]
             self.edge_terms[e] = (a.coef * b.coef, a.var, b.var)
 
-    def _products(self, idx: np.ndarray, terms) -> np.ndarray:
-        """Sum of +-1 edge products over the given (coef, va, vb) terms."""
-        total = np.zeros(len(idx), dtype=np.int32)
+    def _reduce_energy(self):
+        """Energy as const + sum_v h_v s_v + sum_(a,b) J_ab s_a s_b; parallel
+        terms (a corner vertex has two crossing edges to one loop bit) add."""
+        pairs = sorted({(min(va, vb), max(va, vb))
+                        for _, va, vb in self.edge_terms.values()
+                        if va is not None and vb is not None})
+        self._pair_index = {p: k for k, p in enumerate(pairs)}
+        self._couplings = np.zeros(len(pairs))
+        self._fields = np.zeros(self.n_free)
+        self._const = self._fold(self.edge_terms.values(), 1, self._couplings,
+                                 self._fields)
+
+    def _fold(self, terms, weight, couplings, fields) -> float:
+        """Add weight * terms into couplings and fields; return the part
+        that is constant."""
+        const = 0
         for coef, va, vb in terms:
             if va is None and vb is None:
-                total += coef
-                continue
-            if va is None or vb is None:
-                v = va if va is not None else vb
-                bits = ((idx >> np.uint64(v)) & np.uint64(1)).astype(np.int32)
+                const += weight * coef
+            elif va is None or vb is None:
+                fields[va if vb is None else vb] += weight * coef
             else:
-                bits = (((idx >> np.uint64(va)) ^ (idx >> np.uint64(vb)))
-                        & np.uint64(1)).astype(np.int32)
-            total += coef * (1 - 2 * bits)
-        return total
-
-    def _spin_signs(self, idx: np.ndarray, spins) -> np.ndarray:
-        coef = 1
-        var_list = []
-        for s in spins:
-            ex = self.exprs.get(tuple(s))
-            if ex is None:
-                raise EnumerationError(f"no spin value at {s} (free boundary?)")
-            coef *= ex.coef
-            if ex.var is not None:
-                var_list.append(ex.var)
-        acc = np.zeros(len(idx), dtype=np.uint64)
-        for v in var_list:
-            acc ^= (idx >> np.uint64(v)) & np.uint64(1)
-        return coef * (1 - 2 * acc.astype(np.int32))
+                couplings[self._pair_index[min(va, vb), max(va, vb)]] += \
+                    weight * coef
+        return const
 
     def gamma_terms(self, gamma) -> list:
         """Energy terms of included edges crossed by the dual-edge set gamma."""
@@ -197,24 +214,78 @@ class Enumeration:
                 terms.append(t)
         return terms
 
-    def _chunks(self):
-        """(idx, base_energy) pairs; the base energy is cached up to 2^24
-        configurations (64 MB) and recomputed chunkwise beyond that."""
-        n_total = 1 << self.n_free
-        if n_total <= (1 << 24):
-            if not hasattr(self, "_cache"):
-                idx = np.arange(n_total, dtype=np.uint64)
-                self._cache = (idx, self._products(
-                    idx, list(self.edge_terms.values())))
-            idx, energy = self._cache
-            for start in range(0, n_total, _CHUNK):
-                yield idx[start:start + _CHUNK], energy[start:start + _CHUNK]
-            return
-        base_terms = list(self.edge_terms.values())
-        for start in range(0, n_total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, n_total),
-                            dtype=np.uint64)
-            yield idx, self._products(idx, base_terms)
+    # -- contraction -----------------------------------------------------
+
+    def _plan(self, verts):
+        """Fix the elimination order: loop bits first, then the vertices
+        swept along whichever lattice axis gives the narrower frontier."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n_free)]
+        for a, b in self._pair_index:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        bits = list(range(len(verts), self.n_free))
+        best = None
+        for axis in (lambda v: (v[0] + v[1], v[1] - v[0]),
+                     lambda v: (v[1] - v[0], v[0] + v[1])):
+            order = bits + sorted(range(len(verts)),
+                                  key=lambda i: axis(verts[i]))
+            steps, width = self._schedule(order, nbrs)
+            if best is None or width < best[1]:
+                best = (steps, width)
+        self._steps, self.frontier_width = best
+        if self.frontier_width > MAX_FRONTIER:
+            raise EnumerationError(
+                f"frontier of {self.frontier_width} variables exceeds the "
+                f"contraction limit of {MAX_FRONTIER}")
+
+    def _schedule(self, order, nbrs):
+        pos = {var: i for i, var in enumerate(order)}
+        last = {var: max([pos[var]] + [pos[u] for u in nbrs[var]])
+                for var in order}
+        frontier: list[int] = []
+        steps = []
+        width = 0
+        for i, var in enumerate(order):
+            ndim = len(frontier) + 2
+            couplings = []
+            for u in nbrs[var]:
+                if pos[u] < i:
+                    shape = [1] * ndim
+                    shape[1 + frontier.index(u)] = 2
+                    shape[-1] = 2
+                    pair = self._pair_index[min(u, var), max(u, var)]
+                    couplings.append((tuple(shape), pair))
+            frontier.append(var)
+            width = max(width, len(frontier))
+            gone = [k for k, u in enumerate(frontier) if last[u] == i]
+            steps.append(_Step(var, couplings, (1,) * (ndim - 1) + (2,),
+                               (-1,) + (1,) * (ndim - 2) + (2,),
+                               tuple(1 + k for k in gone)))
+            frontier = [u for u in frontier if last[u] != i]
+        return steps, width
+
+    def _observable(self, obs) -> tuple[int, list[int]]:
+        """(coef, variables) with obs = coef * prod of those variables."""
+        coef = 1
+        odd: set = set()
+        if isinstance(obs, tuple) and len(obs) == 2 and obs[0] == "edges":
+            for e in obs[1]:
+                t = self.edge_terms.get(edge_key(*e))
+                if t is None:
+                    raise EnumerationError(f"edge {e} not in the energy")
+                coef *= t[0]
+                odd.symmetric_difference_update(
+                    v for v in t[1:] if v is not None)
+        else:
+            for s in obs:
+                ex = self.exprs.get(tuple(s))
+                if ex is None:
+                    raise EnumerationError(
+                        f"no spin value at {s} (free boundary?)")
+                coef *= ex.coef
+                if ex.var is not None:
+                    odd.symmetric_difference_update({ex.var})
+        return coef, sorted(odd)
 
     def sums(self, observables, gamma=()) -> list[float]:
         """[sum_config mu_gamma(config) * w(config) * prod_{S} sigma] per S.
@@ -223,27 +294,45 @@ class Enumeration:
         an entry may also be ("edges", [primal edges]) whose value is the
         product of sigma*sigma over those edges.
         """
-        g_terms = self.gamma_terms(gamma)
-        out = np.zeros(len(observables), dtype=float)
-        emax = len(self.edge_terms) + 2 * len(g_terms) + 1
-        table = np.exp(self.beta * np.arange(-emax, emax + 1))
-        for idx, base_energy in self._chunks():
-            energy = base_energy
-            if g_terms:
-                energy = energy - 2 * self._products(idx, g_terms)
-            w = table[energy + emax]
-            for i, obs in enumerate(observables):
-                if isinstance(obs, tuple) and len(obs) == 2 and obs[0] == "edges":
-                    val = np.ones(len(idx))
-                    for e in obs[1]:
-                        t = self.edge_terms.get(edge_key(*e))
-                        if t is None:
-                            raise EnumerationError(f"edge {e} not in the energy")
-                        val = val * self._products(idx, [t])
-                    out[i] += float(np.dot(w, val))
-                else:
-                    out[i] += float(np.dot(w, self._spin_signs(idx, obs)))
-        return list(out)
+        n = len(observables)
+        coefs = np.ones(n)
+        signs = np.ones((n, self.n_free))
+        for i, obs in enumerate(observables):
+            coefs[i], odd = self._observable(obs)
+            signs[i, odd] = -1.0
+        couplings = self._couplings.copy()
+        fields = self._fields.copy()
+        const = self._const + self._fold(self.gamma_terms(gamma), -2,
+                                         couplings, fields)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair_f = np.exp(self.beta * couplings[:, None, None] * _PAIR_SIGNS)
+            field_f = np.exp(self.beta * fields[:, None] * _FIELD_SIGNS)
+            batch = max(1, _TABLE_ENTRIES >> self.frontier_width)
+            out = np.zeros(n)
+            for lo in range(0, n, batch):
+                out[lo:lo + batch] = self._contract(pair_f, field_f,
+                                                    signs[lo:lo + batch])
+            out *= coefs * np.exp(self.beta * const)
+        if not np.all(np.isfinite(out)):
+            raise EnumerationError(
+                f"non-finite configuration sum at beta={self.beta}")
+        return out.tolist()
+
+    def _contract(self, pair_f, field_f, signs) -> np.ndarray:
+        flipped = signs.min(axis=0) < 0
+        table = np.ones(len(signs))
+        for st in self._steps:
+            factor = field_f[st.var].reshape(st.field_shape)
+            for shape, k in st.couplings:
+                factor = factor * pair_f[k].reshape(shape)
+            if flipped[st.var]:
+                sv = np.ones((len(signs), 2))
+                sv[:, 1] = signs[:, st.var]
+                factor = factor * sv.reshape(st.sign_shape)
+            table = table[..., None] * factor
+            if st.eliminate:
+                table = table.sum(axis=st.eliminate)
+        return table
 
 
 # -- public correlation functions ----------------------------------------
@@ -304,9 +393,6 @@ def corr_energy(domain: MeshDomain, edges, spins=(),
     """
     mode = "pinned" if pm is not None else "standard"
     en = Enumeration(domain, mode, pm, beta)
-    for e in edges:
-        if en.edge_terms.get(edge_key(*e)) is None:
-            raise EnumerationError(f"energy edge {e} crosses a free arc")
     return _pm_content_value(en, spins, edges)
 
 
@@ -328,18 +414,40 @@ def corr_pm(domain: MeshDomain, pm: PMBoundarySpec, spins=(), energy_edges=(),
     return direct
 
 
-def _pm_content_value(en: Enumeration, spins, energy_edges) -> float:
-    spins = _reduce_spins(spins)
-    z = en.sums([()])[0]
-    if not energy_edges:
-        return en.sums([spins])[0] / z
+def _energy_terms(en: Enumeration, spins, energy_edges) -> list[tuple]:
+    """(coefficient, spin tuple) pairs summing to prod sigma * prod eps_e,
+    with eps_e = sqrt2 (sigma sigma - 1/sqrt2) expanded over edge subsets;
+    sigma sigma over an edge is the product of its two endpoint spins."""
     edges = [edge_key(*e) for e in energy_edges]
-    total = 0.0
+    for e in edges:
+        if e not in en.edge_terms:
+            raise EnumerationError(f"energy edge {e} crosses a free arc")
+    terms = []
     for mask in range(1 << len(edges)):
         sub = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         coef = math.sqrt(2.0) ** len(edges) * (-1 / math.sqrt(2.0)) ** (
             len(edges) - len(sub))
-        total += coef * _reweighted_mixed(en, spins, sub, ())
+        ends = [v for e in sub for v in e]
+        terms.append((coef, _reduce_spins(tuple(spins) + tuple(ends))))
+    return terms
+
+
+def _expanded_sums(en: Enumeration, groups, gamma=()) -> list[float]:
+    """sum_k coef_k * sums(spins_k) for each group of (coef, spins_k)
+    terms, all in one contraction."""
+    vals = iter(en.sums([s for terms in groups for _, s in terms], gamma))
+    out = []
+    for terms in groups:
+        total = 0.0
+        for coef, _ in terms:
+            total += coef * next(vals)
+        out.append(total)
+    return out
+
+
+def _pm_content_value(en: Enumeration, spins, energy_edges) -> float:
+    total, z = _expanded_sums(en, [_energy_terms(en, spins, energy_edges),
+                                   [(1.0, ())]])
     return total / z
 
 
@@ -363,16 +471,18 @@ def _pm_via_mono(domain, pm, spins, energy_edges, beta) -> float:
                 want = 1 if labels[de] == PLUS else -1
                 marks.append((p_out, want))
                 break
-    num = 0.0
-    den = 0.0
+    num_terms: list[tuple] = []
+    den_terms: list[tuple] = []
     for mask in range(1 << len(marks)):
         sub = [marks[i] for i in range(len(marks)) if mask >> i & 1]
         alpha = 1.0
         for _, want in sub:
             alpha *= want
-        pts = [p for p, _ in sub]
-        num += alpha * _pm_content_value(en, tuple(spins) + tuple(pts), energy_edges)
-        den += alpha * _pm_content_value(en, tuple(pts), ())
+        pts = tuple(p for p, _ in sub)
+        num_terms += [(alpha * c, s) for c, s in _energy_terms(
+            en, tuple(spins) + pts, energy_edges)]
+        den_terms.append((alpha, _reduce_spins(pts)))
+    num, den = _expanded_sums(en, [num_terms, den_terms])
     return num / den
 
 
@@ -635,17 +745,9 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     spin_list = list(content.spins)
     spin_list += [_as_corner(f).primal for f in content.fermions]
     direct_spins = _reduce_spins(spin_list)
-    if content.energies:
-        total = 0.0
-        edges = [edge_key(*e) for e in content.energies]
-        for mask in range(1 << len(edges)):
-            sub = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-            coef = math.sqrt(2.0) ** len(edges) * (-1 / math.sqrt(2.0)) ** (
-                len(edges) - len(sub))
-            total += coef * _reweighted_mixed(en, direct_spins, sub, gamma)
-        direct = total / z
-    else:
-        direct = en.sums([direct_spins], gamma=gamma)[0] / z
+    (total,) = _expanded_sums(
+        en, [_energy_terms(en, direct_spins, content.energies)], gamma)
+    direct = total / z
     if check_tol is not None and (content.fermions or content.disorders
                                   or content.energies):
         ferm = _mixed_via_fermions(domain, content, en, z, beta)
@@ -654,23 +756,6 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
             raise EnumerationError(
                 f"mixed-correlation routes disagree: |{direct}| vs |{ferm}|")
     return direct
-
-
-def _reweighted_mixed(en: Enumeration, spins, sub_edges, gamma) -> float:
-    g_terms = en.gamma_terms(gamma)
-    emax = len(en.edge_terms) + 2 * len(g_terms) + 1
-    table = np.exp(en.beta * np.arange(-emax, emax + 1))
-    acc = 0.0
-    for idx, base_energy in en._chunks():
-        energy = base_energy
-        if g_terms:
-            energy = energy - 2 * en._products(idx, g_terms)
-        w = table[energy + emax]
-        val = en._spin_signs(idx, spins).astype(float)
-        for e in sub_edges:
-            val = val * en._products(idx, [en.edge_terms[e]])
-        acc += float(np.dot(w, val))
-    return acc
 
 
 def _mixed_via_fermions(domain, content: MixedContent, en, z, beta) -> float:

@@ -151,6 +151,18 @@ def corner_phase(corner: CornerPoint) -> complex:
     return _ROOT8[corner.phase_index]
 
 
+def inner_corner(domain: MeshDomain, avoid=()) -> Coord:
+    """First corner, in sorted order, whose primal vertex and its four
+    neighbours lie in the domain, skipping vertices in avoid."""
+    for c in sorted(domain.corners):
+        p, _ = corner_neighbors(c)
+        if p not in avoid and p in domain.vertices and all(
+                (p[0] + s[0], p[1] + s[1]) in domain.vertices
+                for s in DIAG_STEPS):
+            return c
+    raise ValueError("domain has no interior corner")
+
+
 class MeshDomain:
     """A discrete domain: primal vertices, boundary arcs, corner graph."""
 

@@ -1,16 +1,4 @@
-from isinglab.lattice import DIAG_STEPS, corner_neighbors
-
-
-def inner_corner(dom, avoid=()):
-    """A corner whose vertex has all four neighbours inside the domain."""
-    for c in sorted(dom.corners):
-        p, _ = corner_neighbors(c)
-        if p in avoid:
-            continue
-        if p in dom.vertices and all(
-                (p[0] + s[0], p[1] + s[1]) in dom.vertices for s in DIAG_STEPS):
-            return c
-    raise AssertionError("no interior corner")
+from isinglab.lattice import corner_neighbors
 
 
 def bulk_corners(dom):

@@ -23,6 +23,17 @@ def test_exact_check_passes_and_self_test(tmp_path):
                 "--out", str(out)]) == 1
 
 
+def test_exact_check_without_interior_corner_is_a_usage_error(capsys):
+    assert run(["exact-check", "--size", "2"]) == 2
+    assert "domain has no interior corner" in capsys.readouterr().err
+
+
+def test_exact_check_size_5(tmp_path):
+    out = tmp_path / "report.csv"
+    assert run(["exact-check", "--size", "5", "--out", str(out)]) == 0
+    assert "pm_two_routes" in out.read_text()
+
+
 def test_exact_check_json_roundtrip(tmp_path):
     out = tmp_path / "report.json"
     assert run(["exact-check", "--size", "4", "--format", "json",

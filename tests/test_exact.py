@@ -3,15 +3,16 @@ import math
 
 import pytest
 
-from conftest import bulk_corners, inner_corner
+from conftest import bulk_corners
 from isinglab.exact import (
-    BETA_CRIT, EnumerationError, MixedContent, corr_disorder_spin, corr_energy,
-    corr_mixed, corr_pm, corr_spin, fermion_field, fermion_multipoint,
-    obs_fermion, partition_function, _phase0, _side,
+    BETA_CRIT, MAX_FRONTIER, Enumeration, EnumerationError, MixedContent,
+    corr_disorder_spin, corr_energy, corr_mixed, corr_pm, corr_spin,
+    fermion_field, fermion_multipoint, obs_fermion, partition_function,
+    _phase0, _side,
 )
 from isinglab.lattice import (
     CornerPoint, MeshDomain, PMBoundarySpec, build_rectangle, corner_phase,
-    edge_key, make_cover, FREE, WIRED,
+    edge_key, inner_corner, make_cover, FREE, WIRED,
 )
 from isinglab.sholo import boundary_pairs, stencil_signs
 
@@ -250,8 +251,12 @@ def _dual_path(dom, a, b):
 
 
 def test_refusal_above_limit():
-    with pytest.raises(EnumerationError):
-        partition_function(build_rectangle(1.0, 6, 6))
+    """The limit is the frontier width, not the spin count: a 20 x 40 block
+    (801 variables) sits at the limit, a 21 x 40 block exceeds it."""
+    assert Enumeration(build_rectangle(1.0, 20, 40)).frontier_width \
+        == MAX_FRONTIER
+    with pytest.raises(EnumerationError, match="frontier"):
+        Enumeration(build_rectangle(1.0, 21, 40))
 
 
 def test_result_record_schema():

@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bulk_corners, inner_corner
+from conftest import bulk_corners
 from isinglab.exact import _phase0, fermion_field
 from isinglab.lattice import (FREE, WIRED, build_rectangle, corner_neighbors,
-                              make_cover)
+                              inner_corner, make_cover)
 from isinglab.sholo import (
     SolveError, cauchy_recover, discrete_exponential, discrete_P,
     discrete_P_split, discrete_Q, integrate_H, boundary_H_spread,
