@@ -180,33 +180,38 @@ def wolff_update(state: MCState, beta: float | None = None) -> int:
     indptr, other = g.edge_csr
     seed = int(state.rng.integers(0, g.n_free))
     spin0 = state.spins[seed]
-    in_cluster = np.zeros(g.n_sites + 1, dtype=bool)
-    in_cluster[seed] = True
+    same = state.spins == spin0
+    open_ = same.copy()          # same spin and not yet in the cluster
+    open_[seed] = False
     frontier = np.array([seed], dtype=np.int64)
-    members = [seed]
-    touched_frozen = False
-    while len(frontier):
-        spans = [other[indptr[s]:indptr[s + 1]] for s in frontier]
-        cand = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-        cand = cand[(state.spins[cand] == spin0) & ~in_cluster[cand]]
+    while True:
+        # neighbours of the frontier in CSR order; frontier is sorted, so
+        # an all-interior frontier takes the padded table (sentinel is closed)
+        if frontier[-1] < g.n_interior:
+            cand = g.neighbors[frontier].ravel()
+        else:
+            starts = indptr[frontier]
+            lens = indptr[frontier + 1] - starts
+            offs = np.cumsum(lens)
+            cand = other[np.arange(offs[-1])
+                         + np.repeat(starts - offs + lens, lens)]
+        cand = cand[open_[cand]]
         if not len(cand):
             break
-        keep = state.rng.random(len(cand)) < p_add
-        cand = np.unique(cand[keep])
+        cand = np.unique(cand[state.rng.random(len(cand)) < p_add])
         if not len(cand):
             break
-        in_cluster[cand] = True
-        if np.any(g.frozen[cand]):
-            touched_frozen = True
-            break
-        members.extend(cand.tolist())
+        open_[cand] = False
+        # frozen sites are numbered last, and cand is sorted
+        if cand[-1] >= g.n_free:
+            state.n_updates += 1
+            state.n_rejected += 1
+            return 0
         frontier = cand
     state.n_updates += 1
-    if touched_frozen:
-        state.n_rejected += 1
-        return 0
+    members = same & ~open_
     state.spins[members] = -spin0
-    return len(members)
+    return int(np.count_nonzero(members))
 
 
 def metropolis_sweep(state: MCState, beta: float | None = None):
