@@ -6,8 +6,12 @@ Boltzmann weight one variable at a time over a moving frontier, as in the
 row transfer matrix.  Complement components with wired (unpinned) boundary
 get one extra binary variable each, which joins the frontier first; free
 arcs are excluded from the energy.  A sum costs O(V * 2^w) for a frontier
-of w variables, so what limits the domain is its width (MAX_FRONTIER
-variables), not its number of spins.
+of w variables, so the cost limits the domain's width (MAX_FRONTIER
+variables), not its number of spins.  The sums are plain Boltzmann weights
+in float64, which sets a second limit on the number of spins: at beta_c,
+ln Z grows by about 1 per spin (0.93 in the bulk, more next to a wired
+arc) and float64 ends at ln Z = 709, so a wired block of more than about
+700 free spins overflows.  Both limits raise EnumerationError.
 
 Serves as the ground-truth oracle for the solver and Monte Carlo modules.
 """
@@ -30,6 +34,8 @@ from .lattice import (
 BETA_CRIT = 0.5 * math.log(math.sqrt(2.0) + 1.0)
 
 # Widest frontier contracted, in variables: a table of 2^22 doubles is 32 MB.
+# The other limit is overflow of Z itself, about 700 spins at beta_c (see
+# the module docstring); it shows as a non-finite sum.
 MAX_FRONTIER = 22
 _TABLE_ENTRIES = 1 << MAX_FRONTIER
 

@@ -151,8 +151,14 @@ def test_observables_in_batches(monkeypatch):
 
 
 def test_overflow_is_an_error():
+    """A sum beyond float64 raises: at beta = 50, and at beta_c once the
+    spin count passes about 700 (ln Z grows by about 1 per spin), which a
+    narrow 10 x 80 block with a 12-variable frontier does; 10 x 70 sums."""
     with pytest.raises(EnumerationError, match="non-finite"):
         partition_function(build_rectangle(1.0, 4, 4), beta=50.0)
+    assert np.isfinite(partition_function(build_rectangle(1.0, 10, 70)))
+    with pytest.raises(EnumerationError, match="non-finite"):
+        partition_function(build_rectangle(1.0, 10, 80))
 
 
 # -- cross-checks beyond brute-force reach ----------------------------------

@@ -251,12 +251,20 @@ def _dual_path(dom, a, b):
 
 
 def test_refusal_above_limit():
-    """The limit is the frontier width, not the spin count: a 20 x 40 block
-    (801 variables) sits at the limit, a 21 x 40 block exceeds it."""
-    assert Enumeration(build_rectangle(1.0, 20, 40)).frontier_width \
+    """The cost limits the frontier width, not the spin count: a 20 x 30
+    block (601 variables) sits at the width limit, a 21 x 30 block
+    exceeds it."""
+    assert Enumeration(build_rectangle(1.0, 20, 30)).frontier_width \
         == MAX_FRONTIER
     with pytest.raises(EnumerationError, match="frontier"):
-        Enumeration(build_rectangle(1.0, 21, 40))
+        Enumeration(build_rectangle(1.0, 21, 30))
+
+
+@pytest.mark.slow
+def test_block_at_width_limit_sums():
+    """The 20 x 30 block at the width limit has a finite Z (about 30 s)."""
+    z = partition_function(build_rectangle(1.0, 20, 30))
+    assert 0.9 < math.log(z) / 601 < 1.05
 
 
 def test_result_record_schema():
