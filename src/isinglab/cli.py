@@ -35,8 +35,6 @@ def _emit(path, header, rows, fmt, stamp=True):
     out = sys.stdout if path in (None, "-") else open(path, "w")
     try:
         if fmt == "json":
-            payload = [dict(zip(header, [r if not isinstance(r, (float, complex))
-                                         else r for r in row])) for row in rows]
             json.dump({"columns": header, "rows": [list(map(_fmt, r)) for r in rows]},
                       out, indent=1)
             out.write("\n")
@@ -73,7 +71,8 @@ def cmd_exact_check(cfg) -> int:
         tot = 0j
         for c, pm in ((n, 1), (s_, 1), (east, -1), (west, -1)):
             if c == src:
-                tot += pm * signs[c] * exact._side(src, m) * field[src][0]
+                tot += (pm * signs[c] * lattice.transport_side(src, m)
+                        * field[src][0])
             else:
                 tot += pm * signs[c] * field[c]
         worst = max(worst, abs(tot))
@@ -81,10 +80,10 @@ def cmd_exact_check(cfg) -> int:
         worst += 1.0
     rows.append(("four_corner_relation", worst, 1e-10))
     worst_bc = 0.0
-    eta_s = exact._phase0(src)
+    eta_s = lattice.base_phase(src)
     for c1, c2, sign in sholo.boundary_pairs(dom, cov):
-        x1 = (field[c1] * (eta_s * exact._phase0(c1)).conjugate()).real
-        x2 = (field[c2] * (eta_s * exact._phase0(c2)).conjugate()).real
+        x1 = (field[c1] * (eta_s * lattice.base_phase(c1)).conjugate()).real
+        x2 = (field[c2] * (eta_s * lattice.base_phase(c2)).conjugate()).real
         worst_bc = max(worst_bc, abs(x1 - sign * x2))
     rows.append(("boundary_pair_relations", worst_bc, 1e-10))
     inner = sorted(c for c in dom.corners
@@ -128,7 +127,7 @@ def cmd_kernels(cfg) -> int:
     rows = []
     a = (0, 1)
     plus, minus = sholo.discrete_P_split(a)
-    eta = exact._phase0(a)
+    eta = lattice.base_phase(a)
     rows.append(("inverse_kernel_split_plus", abs(plus - eta), 1e-12))
     rows.append(("inverse_kernel_split_minus", abs(minus + eta), 1e-12))
     p_, d_ = lattice.corner_neighbors(a)
@@ -148,7 +147,7 @@ def cmd_kernels(cfg) -> int:
             z = (X, Y)
             val = sholo.discrete_P(a, z)
             pos = complex(z[0] - a[0], z[1] - a[1]) / 2
-            eta_z = exact._phase0(z)
+            eta_z = lattice.base_phase(z)
             proj = (2 / math.pi) * eta_z * (eta_z.conjugate()
                                             * eta.conjugate() / pos).real
             emax = max(emax, abs(val - proj))
@@ -158,7 +157,7 @@ def cmd_kernels(cfg) -> int:
     worst_q = 0.0
     for z in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         worst_q = max(worst_q, abs(sholo.discrete_Q((0, 0), z)
-                                   - exact._phase0(z)))
+                                   - lattice.base_phase(z)))
     rows.append(("sqrt_kernel_incident_values", worst_q, 1e-12))
     ok = all((v <= t if t > 0 else v >= -t) for _, v, t in rows)
     _emit(cfg.get("out"), ["check", "value", "tolerance_or_bound"],
@@ -221,6 +220,37 @@ def cmd_annulus_eval(cfg) -> int:
     return 0
 
 
+# the lattice square is rotated by 45 degrees in the plane
+_ROT = cmath.exp(-1j * math.pi / 4)
+
+
+def _unit_square_map(dom):
+    """Map of the plane onto the unit square, calibrated from the dual
+    boundary loop of a square domain, and the square's side."""
+    boundary_pts = [_ROT * dom.position(u) for u in dom.boundary_loops[0]]
+    xlo = min(w.real for w in boundary_pts)
+    xhi = max(w.real for w in boundary_pts)
+    ylo = min(w.imag for w in boundary_pts)
+    side = xhi - xlo
+    offset = complex(xlo, ylo)
+
+    def to_unit(zc):
+        return (_ROT * zc - offset) / side
+    return to_unit, side
+
+
+def _probe_corners(dom, to_unit, targets):
+    """For each target in the unit square, the nearest corner v +- (1, 0)
+    of a vertex v (one corner orientation along the ladder); of equally
+    near corners, the first in sorted order."""
+    verts = np.array(list(dom.vertices))
+    cands = np.concatenate([verts + (1, 0), verts - (1, 0)])
+    cands = cands[np.lexsort(cands.T[::-1])]
+    unit = to_unit((cands[:, 0] + 1j * cands[:, 1]) * (dom.delta / 2.0))
+    return [tuple(cands[int(np.argmin(np.abs(unit - t)))].tolist())
+            for t in targets]
+
+
 def _square_observable_error(n_lattice: int, z1_frac, z2_frac):
     """Solver two-point observable on the wired square against the
     transported half-plane kernel; returns (one_over_delta, error, scale).
@@ -230,49 +260,25 @@ def _square_observable_error(n_lattice: int, z1_frac, z2_frac):
     """
     dom = lattice.build_rectangle(1.0, n_lattice, n_lattice)
     cov = lattice.make_cover(dom, [])
-    rot = cmath.exp(-1j * math.pi / 4)
-    boundary_pts = [rot * dom.position(u) for u in dom.boundary_loops[0]]
-    xlo = min(w.real for w in boundary_pts)
-    xhi = max(w.real for w in boundary_pts)
-    ylo = min(w.imag for w in boundary_pts)
-    side = xhi - xlo
-    offset = complex(xlo, ylo)
-
-    def to_unit(zc):
-        return (rot * zc - offset) / side
-
-    t1, t2 = complex(*z1_frac), complex(*z2_frac)
+    to_unit, side = _unit_square_map(dom)
     rm = elliptic.rect_map(1.0)
-    corners = sorted(c for c in dom.corners
-                     if lattice.corner_neighbors(c)[0] in dom.vertices)
-
-    def nearest(target):
-        best, bd = None, math.inf
-        for c in corners:
-            if c[0] % 2 != 1:  # keep one corner orientation along the ladder
-                continue
-            d = abs(to_unit(dom.position(c)) - target)
-            if d < bd:
-                best, bd = c, d
-        return best
-
-    c1 = nearest(t1)
-    c2 = nearest(t2)
+    c1, c2 = _probe_corners(dom, to_unit,
+                            [complex(*z1_frac), complex(*z2_frac)])
     sol = sholo.solve_observable(dom, cov, c1)
     F = sol.observable()[c2]
     delta_eff = 1.0 / side
 
     w1, w2 = to_unit(dom.position(c1)), to_unit(dom.position(c2))
     phi1, phi2 = rm.from_rect(w1), rm.from_rect(w2)
-    dw_dz = rot / side
+    dw_dz = _ROT / side
     dphi1 = rm.from_rect_deriv(w1) * dw_dz
     dphi2 = rm.from_rect_deriv(w2) * dw_dz
     f_sq = (cont.hp_fermion("wired", phi1, phi2, "f")
             * cmath.sqrt(dphi1) * cmath.sqrt(dphi2))
     fs_sq = (cont.hp_fermion("wired", phi1, phi2, "fstar")
              * cmath.sqrt(dphi1).conjugate() * cmath.sqrt(dphi2))
-    eta1 = exact._phase0(c1)
-    eta2 = exact._phase0(c2)
+    eta1 = lattice.base_phase(c1)
+    eta2 = lattice.base_phase(c2)
     f_eta = 0.5 * (eta1.conjugate() * f_sq + eta1 * fs_sq)
     target = (2 / math.pi) * eta1 * eta2 * (eta2.conjugate() * f_eta).real
     # the map derivatives carry the rescaling to the unit square, so the

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -491,31 +491,6 @@ def hp_two_point(case: str, **case_kw):
             return -hp_fermion(case, fa.z, fb.z, "fstar", **case_kw)
         if (ka, kb) == ("antiholo", "antiholo"):
             return hp_fermion(case, fb.z, fa.z, "f", **case_kw).conjugate()
-        raise ContinuumError(f"unsupported kinds {(ka, kb)}")
-
-    return pair
-
-
-def ann_two_point(bc: AnnulusBC, with_spins: bool = False):
-    """Provider of annulus fermion pair correlators."""
-
-    def pair(fa: Fermion, fb: Fermion) -> complex:
-        ka, kb = fa.kind, fb.kind
-        if ka == "eta" or kb == "eta":
-            total = 0j
-            for sa, wa in _eta_split(fa):
-                for sb, wb in _eta_split(fb):
-                    total += wa * wb * pair(replace(fa, kind=sa, eta=None),
-                                            replace(fb, kind=sb, eta=None))
-            return total
-        if (ka, kb) == ("holo", "holo"):
-            return ann_fermion(bc, fa.z, fb.z, "f", with_spins)
-        if (ka, kb) == ("holo", "antiholo"):
-            return ann_fermion(bc, fa.z, fb.z, "fstar", with_spins)
-        if (ka, kb) == ("antiholo", "holo"):
-            return -ann_fermion(bc, fb.z, fa.z, "fstar", with_spins)
-        if (ka, kb) == ("antiholo", "antiholo"):
-            return ann_fermion(bc, fb.z, fa.z, "f", with_spins).conjugate()
         raise ContinuumError(f"unsupported kinds {(ka, kb)}")
 
     return pair

@@ -28,7 +28,7 @@ from .lattice import (
     FREE, MINUS, PLUS, WIRED, CornerPoint, DoubleCover, MeshDomain,
     PMBoundarySpec, corner_neighbors, crossing_edge, edge_key, is_primal,
     phase_step_sign, rotation_vertex, step_crossed_edge, corner_phase,
-    _ROOT8, PHASE_INDEX, corner_direction,
+    base_phase, corner_direction, transport_side,
 )
 
 BETA_CRIT = 0.5 * math.log(math.sqrt(2.0) + 1.0)
@@ -501,20 +501,6 @@ def _as_corner(c) -> CornerPoint:
     return CornerPoint(tuple(c), 0)
 
 
-def _phase0(pos) -> complex:
-    return _ROOT8[PHASE_INDEX[corner_direction(pos)]]
-
-
-def _side(source_pos, target_pos) -> int:
-    """+1 if the first transport step leaves through the positive side of
-    the source's primal-dual segment."""
-    p, d = corner_neighbors(source_pos)
-    ax, ay = p[0] - d[0], p[1] - d[1]
-    bx, by = target_pos[0] - source_pos[0], target_pos[1] - source_pos[1]
-    cross = ax * by - ay * bx
-    return 1 if cross > 0 else -1
-
-
 class _Transport:
     """Coherent branch bookkeeping for sigma-mu corner insertions.
 
@@ -602,7 +588,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
     den = en.sums([ram])[0]
     if den == 0.0:
         raise EnumerationError("vanishing spin correlation denominator")
-    eta_s = _phase0(src.pos)
+    eta_s = base_phase(src.pos)
     values: dict = {src.pos: (eta_s * eta_s, -eta_s * eta_s)}
     state0 = _Transport(cover)
     stack = [(src.pos, state0, True)]
@@ -620,7 +606,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
             seen.add(w)
             st2 = st.clone()
             if is_src:
-                st2.chi *= _side(src.pos, w)
+                st2.chi *= transport_side(src.pos, w)
             st2.step(c, w)
             stack.append((w, st2, False))
     obs = []
@@ -638,7 +624,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
             results[i] = v
     for i, c in enumerate(order):
         st = states[c]
-        values[c] = st.sign * eta_s * _phase0(c) * results[i] / den
+        values[c] = st.sign * eta_s * base_phase(c) * results[i] / den
     return values
 
 
@@ -665,11 +651,11 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
     placed: list = []
     for j in range(0, len(pos), 2):
         a, b = pos[j], pos[j + 1]
-        phase *= _phase0(a) * _phase0(b)
+        phase *= base_phase(a) * base_phase(b)
         forbidden = frozenset(placed) | frozenset(tuple(q) for q in avoid) - {a, b}
         path = _corner_bfs_path(domain.corners, a, b,
                                 avoid=(forbidden | {a}) - {b})
-        st.chi *= _side(a, path[1])
+        st.chi *= transport_side(a, path[1])
         for c1, c2 in zip(path, path[1:]):
             st.step(c1, c2)
         placed += [a, b]

@@ -22,6 +22,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 Coord = tuple[int, int]
 Edge = tuple[Coord, Coord]
 
@@ -149,6 +151,32 @@ _ROOT8 = [
 def corner_phase(corner: CornerPoint) -> complex:
     """Dirac spinor value eta at the corner (exact eighth root of unity)."""
     return _ROOT8[corner.phase_index]
+
+
+def base_phase(pos: Coord) -> complex:
+    """Dirac spinor value eta at a corner position, on the base sheet."""
+    return _ROOT8[PHASE_INDEX[corner_direction(pos)]]
+
+
+# base_phase by corner class (x % 2, (x + y) % 4): a corner's direction
+# depends on its class alone, and x + y is odd at every corner.
+_PHASE_TABLE = np.array([[base_phase((x, r - x)) if r % 2 else np.nan
+                          for r in range(4)] for x in range(2)])
+
+
+def base_phases(xy: np.ndarray) -> np.ndarray:
+    """base_phase of every corner in an integer array of shape (..., 2)."""
+    return _PHASE_TABLE[xy[..., 0] % 2, xy.sum(-1) % 4]
+
+
+def transport_side(source_pos: Coord, target_pos: Coord) -> int:
+    """+1 if the first transport step leaves through the positive side of
+    the source's primal-dual segment."""
+    p, d = corner_neighbors(source_pos)
+    ax, ay = p[0] - d[0], p[1] - d[1]
+    bx, by = target_pos[0] - source_pos[0], target_pos[1] - source_pos[1]
+    cross = ax * by - ay * bx
+    return 1 if cross > 0 else -1
 
 
 def inner_corner(domain: MeshDomain, avoid=()) -> Coord:

@@ -90,7 +90,7 @@ def pf(a, tol: float = 1e-12):
     return pf_parlett_reid(a)
 
 
-def assemble_multipoint(pairs, k: int, diagonal_zero: bool = True):
+def assemble_multipoint(pairs, k: int):
     """Pfaffian of the k x k table of pairwise values.
 
     pairs(i, j) is consulted for i < j only and extended antisymmetrically;
@@ -106,7 +106,4 @@ def assemble_multipoint(pairs, k: int, diagonal_zero: bool = True):
             v = complex(pairs(i, j))
             table[i, j] = v
             table[j, i] = -v
-    out = pf(table)
-    if abs(out.imag) < 1e-12 * max(1.0, abs(out)):
-        return out
-    return out
+    return pf(table)

@@ -4,8 +4,11 @@ The solver reconstructs the two-point fermionic observable as the unique
 spinor satisfying the four-corner relation at every interior and
 wired-crossing edge, the standard boundary pair relations, and a pinned
 split value at the source corner.  One real unknown per corner (the phase
-condition fixes the direction); the assembled system is solved in the
-least-squares sense with an asserted residual.
+condition fixes the direction).  The system is assembled from integer
+index arrays and has exactly one redundant row: without it the system is
+square and is solved by one sparse LU factorization (two when the first
+choice of row is poorly conditioned), with the residual of the full
+system asserted.
 
 Also here: the full-plane discrete analogues of 1/z and 1/sqrt(z) built
 from discrete exponentials, the integrated quadratic form H, and the
@@ -19,16 +22,17 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import (
-    FREE, WIRED, CornerPoint, DoubleCover, MeshDomain, corner_neighbors,
-    crossing_edge, edge_key, phase_step_sign, step_crossed_edge, _ROOT8,
+    FREE, WIRED, CornerPoint, DoubleCover, MeshDomain, base_phase,
+    base_phases, corner_neighbors, crossing_edge, edge_key, phase_step_sign,
+    step_crossed_edge, transport_side, _ROOT8,
 )
-from .exact import _phase0, _side
 
 _CYC = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
@@ -196,7 +200,7 @@ class SpinorField:
     def observable(self) -> dict:
         """Rescale so the field equals the two-point observable F(source, .)
         on the base sheet (split pair stored under the source position)."""
-        eta_s = _phase0(self.source.pos)
+        eta_s = base_phase(self.source.pos)
         out = {c: eta_s * v for c, v in self.values.items()}
         out[self.source.pos] = (eta_s * self.normalization,
                                 -eta_s * self.normalization)
@@ -212,10 +216,11 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
                      residual_tol: float = 1e-10) -> SpinorField:
     """Unique s-holomorphic spinor with a split source value.
 
-    The cover may be ramified at primal vertices only.  Raises SolveError
-    if the least-squares residual exceeds residual_tol * |rhs| (which
-    would signal an inconsistent assembly, since the observable itself
-    solves the system exactly).
+    The cover may be ramified at primal vertices only.  The assembled
+    system has one redundant row; it is solved square, without that row,
+    and raises SolveError if the residual of the full system exceeds
+    residual_tol * |rhs| (which would signal an inconsistent assembly,
+    since the observable itself solves the system exactly).
     """
     if cover.ram_dual:
         raise SolveError("covers ramified at dual vertices are not supported")
@@ -224,69 +229,169 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
         raise SolveError("source corner outside the domain")
     if corner_neighbors(src.pos)[0] not in domain.vertices:
         raise SolveError("source corner must have its vertex inside the domain")
-    eta0 = {c: _phase0(c) for c in domain.corners}
-    eta_pin = eta0[src.pos] if normalization is None else complex(normalization)
-    if abs((eta_pin * eta0[src.pos].conjugate()).imag) > 1e-12 * abs(eta_pin):
+    eta_src = base_phase(src.pos)
+    eta_pin = eta_src if normalization is None else complex(normalization)
+    if abs((eta_pin * eta_src.conjugate()).imag) > 1e-12 * abs(eta_pin):
         raise SolveError(
             "normalization must be a real multiple of the source phase")
 
-    unknowns = sorted(domain.corners - {src.pos})
-    col = {c: i for i, c in enumerate(unknowns)}
-    rows_i: list[int] = []
-    cols_i: list[int] = []
-    data: list[float] = []
-    rhs: list[float] = []
-    nrow = 0
-
-    for e in sorted(domain.shol_edges):
-        quad, signs = stencil_signs(domain, cover, e)
-        n, east, s, west = quad
-        m = ((e[0][0] + e[1][0]) // 2, (e[0][1] + e[1][1]) // 2)
-        coeffs: dict = {}
-        b = 0j
-        for c, pm in ((n, 1), (s, 1), (east, -1), (west, -1)):
-            if c == src.pos:
-                b -= pm * signs[c] * _side(src.pos, m) * eta_pin
-            else:
-                coef = pm * signs[c] * eta0[c]
-                coeffs[c] = coeffs.get(c, 0j) + coef
-        for part in (0, 1):
-            wrote = False
-            for c, coef in coeffs.items():
-                val = coef.real if part == 0 else coef.imag
-                if val != 0.0:
-                    rows_i.append(nrow)
-                    cols_i.append(col[c])
-                    data.append(val)
-                    wrote = True
-            if wrote or (b.real if part == 0 else b.imag) != 0.0:
-                rhs.append(b.real if part == 0 else b.imag)
-                nrow += 1
-
-    for c1, c2, sign in boundary_pairs(domain, cover):
-        rows_i.extend([nrow, nrow])
-        cols_i.extend([col[c1], col[c2]])
-        data.extend([1.0, -float(sign)])
-        rhs.append(0.0)
-        nrow += 1
-
-    A = sp.csr_matrix((data, (rows_i, cols_i)), shape=(nrow, len(unknowns)))
-    b = np.asarray(rhs)
-    ata = (A.T @ A).tocsc()
-    lu = spla.splu(ata)
-    x = lu.solve(A.T @ b)
-    for _ in range(3):
-        r = b - A @ x
-        x = x + lu.solve(A.T @ r)
+    A, b, unknowns = _assemble(domain, cover, src.pos, eta_pin)
+    x = _square_solve(A, b)
     res = float(np.linalg.norm(b - A @ x))
     nb = float(np.linalg.norm(b))
     if res > residual_tol * max(nb, 1e-30):
         raise SolveError(
-            f"least-squares residual {res:.3e} exceeds {residual_tol} * |rhs|"
-            f" ({nb:.3e})")
-    values = {c: complex(x[i]) * eta0[c] for c, i in col.items()}
+            f"residual {res:.3e} exceeds {residual_tol} * |rhs| ({nb:.3e})")
+    values = dict(zip(zip(*unknowns.T.tolist()),
+                      (x * base_phases(unknowns)).tolist()))
     return SpinorField(domain, cover, src, eta_pin, values,
-                       res / max(nb, 1e-300), (nrow, len(unknowns)))
+                       res / max(nb, 1e-300), A.shape)
+
+
+def _sorted_array(items, shape: tuple) -> np.ndarray:
+    """A set of coordinate tuples (or of pairs of them) as an integer array
+    with rows of the given shape, in the order of sorted(items)."""
+    flat = chain.from_iterable(items)
+    if len(shape) == 2:
+        flat = chain.from_iterable(flat)
+    arr = np.fromiter(flat, np.int64, len(items) * math.prod(shape))
+    rows = arr.reshape(len(items), -1)
+    return arr.reshape(-1, *shape)[np.lexsort(rows.T[::-1])]
+
+
+# Grid points are coded as one integer each, increasing in lexicographic
+# order, for coordinates within +-_OFFSET.
+_OFFSET = 1 << 20
+_SPAN = 1 << 21
+# Stencil corners N, E, S, W around an edge midpoint, with the signs of the
+# four-corner relation.
+_STENCIL = np.array([(0, 1), (1, 0), (0, -1), (-1, 0)])
+_STENCIL_PM = np.array([1, -1, 1, -1])
+
+
+def _codes(xy: np.ndarray) -> np.ndarray:
+    """One integer per grid point of xy (shape (..., 2))."""
+    return (xy[..., 0] + _OFFSET) * _SPAN + (xy[..., 1] + _OFFSET)
+
+
+def _edge_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One integer per diagonal grid edge a-b: its midpoint and whether it
+    rises to the right."""
+    rising = (b[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]) > 0
+    return 2 * _codes((a + b) // 2) + rising
+
+
+def _crossed_edge_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """_edge_codes of lattice.step_crossed_edge for arrays of corner steps."""
+    w = c1.copy()
+    turn_at_b = c1[..., 0] % 2 == 1
+    w[turn_at_b, 0] = c2[turn_at_b, 0]
+    w[~turn_at_b, 1] = c2[~turn_at_b, 1]
+    return _edge_codes(w, w + 2 * (c1 + c2 - 2 * w))
+
+
+def _lookup(keys: np.ndarray, codes: np.ndarray):
+    """Positions of codes in the sorted keys, and which of them are there."""
+    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    return pos, keys[pos] == codes
+
+
+def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
+    """The discrete boundary-value problem as a sparse matrix A, its
+    right-hand side b and the unknown corners (sorted; one real unknown x
+    per corner, the spinor being x * eta).
+
+    Per s-holomorphic edge, in sorted order, the real then the imaginary
+    part of the four-corner relation, skipping zero rows; then one row per
+    boundary pair.  The source's split value moves to the right-hand side.
+    """
+    corners = _sorted_array(domain.corners - {src}, (2,))
+    if np.abs(corners).max() > _OFFSET // 2:
+        raise SolveError("domain too far from the origin")
+    keys = _codes(corners)
+    mids = _sorted_array(domain.shol_edges, (2, 2)).sum(axis=1) // 2
+    quad = mids[:, None, :] + _STENCIL          # (edges, 4, 2): N, E, S, W
+    cut = np.array(list(cover.cut_primal | cover.cut_dual),
+                   dtype=np.int64).reshape(-1, 2, 2)
+    flips = np.isin(_crossed_edge_codes(quad[:, :3], quad[:, 1:]),
+                    _edge_codes(cut[:, 0], cut[:, 1]))
+    steps = np.where(flips, -1, 1)
+    sheet = np.cumprod(np.hstack([np.ones_like(steps[:, :1]), steps]), axis=1)
+    coef = (_STENCIL_PM * sheet) * base_phases(quad)
+    cols, found = _lookup(keys, _codes(quad))
+    rhs = np.zeros(len(quad), dtype=complex)
+    for i, j in zip(*np.nonzero(~found)):
+        if tuple(quad[i, j]) != src:
+            raise SolveError(f"stencil corner {tuple(quad[i, j])} outside "
+                             "the domain")
+        rhs[i] -= (_STENCIL_PM[j] * sheet[i, j]
+                   * transport_side(src, tuple(mids[i])) * eta_pin)
+        coef[i, j] = 0
+    parts = np.stack([coef.real, coef.imag], axis=1)      # (edges, 2, 4)
+    rhs_parts = np.stack([rhs.real, rhs.imag], axis=1)    # (edges, 2)
+    kept = (parts != 0).any(axis=2) | (rhs_parts != 0)
+    row_of = np.cumsum(kept.ravel()).reshape(kept.shape) - 1
+    entry = parts != 0
+    rows = [np.broadcast_to(row_of[:, :, None], entry.shape)[entry]]
+    cols = [np.broadcast_to(cols[:, None, :], entry.shape)[entry]]
+    data = [parts[entry]]
+    b = [rhs_parts[kept]]
+
+    pairs = boundary_pairs(domain, cover)
+    if pairs:
+        ends = np.array([(c1, c2) for c1, c2, _ in pairs])
+        pos, found = _lookup(keys, _codes(ends))
+        if not found.all():
+            raise SolveError("a boundary relation meets the source corner")
+        first = len(b[0]) + np.arange(len(pairs))
+        rows.append(np.repeat(first, 2))
+        cols.append(pos.ravel())
+        data.append(np.stack([np.ones(len(pairs)),
+                              -np.array([s for _, _, s in pairs], float)],
+                             axis=1).ravel())
+        b.append(np.zeros(len(pairs)))
+    b = np.concatenate(b)
+    A = sp.csr_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(b), len(corners)))
+    return A, b, corners
+
+
+# Weight ratio in the left null vector above which a second factorization
+# is made: it gains at least a digit of conditioning.  Symmetric domains
+# have near-ties (ratios of 1 to 2.5 on squares, annuli and holes), which
+# would only double the cost.
+_REFACTOR_GAIN = 10.0
+
+
+def _square_solve(A, b) -> np.ndarray:
+    """x with A x = b for a consistent A of shape (m + 1, m) and rank m.
+
+    One row is dropped and the square rest factored.  The rest is regular
+    when the dropped row carries weight in the left null vector y
+    (A^T y = 0), and its conditioning bound improves in proportion to that
+    weight.  The first guess is the row with the largest |b|; factoring
+    without it, y is one transposed solve.  A row whose |y| is more than
+    _REFACTOR_GAIN times larger is dropped instead, at the cost of a second
+    factorization.
+    """
+    nrow, m = A.shape
+    if nrow != m + 1:
+        raise SolveError(f"expected one redundant row, got a system of "
+                         f"shape {A.shape}")
+    drop = int(np.argmax(np.abs(b)))
+    lu, kept = _factor_without(A, drop)
+    y = lu.solve(A[drop].toarray().ravel(), trans="T")
+    far = int(np.argmax(np.abs(y)))
+    if abs(y[far]) > _REFACTOR_GAIN:        # y is -1 on the dropped row
+        lu, kept = _factor_without(A, int(kept[far]))
+    return lu.solve(b[kept])
+
+
+def _factor_without(A, drop: int):
+    """LU factor of A without row `drop`, and the rows kept."""
+    kept = np.delete(np.arange(A.shape[0]), drop)
+    return spla.splu(A[kept].tocsc()), kept
 
 
 # -- discrete exponentials and full-plane kernels -----------------------------
@@ -364,7 +469,7 @@ def _kernel_K(a, z) -> complex:
 
 def _p_diamond(a, z) -> complex:
     """P_a at a horizontal-type corner z (vertical-type a)."""
-    return _phase0(a).conjugate() * _kernel_K(a, z)
+    return base_phase(a).conjugate() * _kernel_K(a, z)
 
 
 def discrete_P(a, z, delta: float = 1.0) -> complex:
@@ -385,7 +490,7 @@ def discrete_P(a, z, delta: float = 1.0) -> complex:
     m = max(mids, key=lambda q: ((q[0] - a[0]) ** 2 + (q[1] - a[1]) ** 2, q))
     c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
     val = _p_diamond(a, c1) + _p_diamond(a, c2)
-    eta = _phase0(z)
+    eta = base_phase(z)
     return eta * (eta.conjugate() * val).real / delta
 
 
@@ -399,8 +504,8 @@ def discrete_P_split(a, delta: float = 1.0):
     for m in ((a[0] + 1, a[1]), (a[0] - 1, a[1])):
         c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
         val = _p_diamond(a, c1) + _p_diamond(a, c2)
-        eta = _phase0(a)
-        out[_side(a, m)] = eta * (eta.conjugate() * val).real / delta
+        eta = base_phase(a)
+        out[transport_side(a, m)] = eta * (eta.conjugate() * val).real / delta
     return out[1], out[-1]
 
 
@@ -445,7 +550,7 @@ def discrete_Q(w, z, delta: float = 1.0) -> complex:
         m = max(mids, key=lambda q: (q[0] ** 2 + q[1] ** 2, q[0]))
     c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
     val = _q_diamond(c1) + _q_diamond(c2)
-    eta = _phase0(off)
+    eta = base_phase(off)
     return pref * eta * (eta.conjugate() * val).real / math.sqrt(delta)
 
 
@@ -614,7 +719,7 @@ def cauchy_recover(field: SpinorField, v, u, radius: int = 4) -> complex:
         step = dom.position(g2) - dom.position(g1)
         total += (-2j * signs[c] * field.values[c]
                   * discrete_Q(u, c, delta) * step)
-    eta_z = _phase0(z)
+    eta_z = base_phase(z)
     # relate the section's anchor sheet to the field's base sheet at z
     fix = _section_flip(z, root, field.cover, u)
     return fix * 0.25 / math.sqrt(delta) * eta_z * total

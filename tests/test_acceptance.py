@@ -15,10 +15,10 @@ import pytest
 from conftest import bulk_corners
 from isinglab import elliptic, lattice, montecarlo
 from isinglab import continuum as cont
-from isinglab.exact import (_phase0, fermion_field, fermion_multipoint)
-from isinglab.lattice import (FREE, WIRED, PMBoundarySpec, build_annulus,
-                              build_rectangle, corner_neighbors, inner_corner,
-                              make_cover)
+from isinglab.exact import fermion_field, fermion_multipoint
+from isinglab.lattice import (FREE, WIRED, PMBoundarySpec, base_phase,
+                              build_annulus, build_rectangle, corner_neighbors,
+                              inner_corner, make_cover)
 from isinglab.pfaffian import assemble_multipoint
 from isinglab.sholo import discrete_P, discrete_P_split, discrete_Q, \
     solve_observable
@@ -98,7 +98,7 @@ def test_criterion_3_discrete_kernels():
     worst_zero = 0.0
     for a in ((0, 1), (0, -3), (1, 0), (2, 5)):
         plus, minus = discrete_P_split(a)
-        eta = _phase0(a)
+        eta = base_phase(a)
         worst_split = max(worst_split, abs(plus - eta), abs(minus + eta))
         p_, d_ = corner_neighbors(a)
         dd = (d_[0] - p_[0], d_[1] - p_[1])
@@ -106,7 +106,7 @@ def test_criterion_3_discrete_kernels():
             z = (a[0] - sgn * dd[1], a[1] + sgn * dd[0])
             worst_zero = max(worst_zero, abs(discrete_P(a, z)))
     a = (0, 1)
-    eta_a = _phase0(a)
+    eta_a = base_phase(a)
     radii = [10, 14, 20, 28, 40, 56, 80, 100]
     errs = []
     for r in radii:
@@ -118,13 +118,13 @@ def test_criterion_3_discrete_kernels():
                 X += 1
             val = discrete_P(a, (X, Y))
             pos = complex(X - a[0], Y - a[1]) / 2
-            eta_z = _phase0((X, Y))
+            eta_z = base_phase((X, Y))
             proj = (2 / math.pi) * eta_z * (
                 eta_z.conjugate() * eta_a.conjugate() / pos).real
             emax = max(emax, abs(val - proj))
         errs.append(emax)
     slope = float(-np.polyfit(np.log(radii), np.log(errs), 1)[0])
-    worst_q = max(abs(discrete_Q((0, 0), z) - _phase0(z))
+    worst_q = max(abs(discrete_Q((0, 0), z) - base_phase(z))
                   for z in ((1, 0), (-1, 0), (0, 1), (0, -1)))
     ok = _report("3 inverse-kernel split/zero values", max(worst_split,
                                                            worst_zero), 1e-12)

@@ -1,6 +1,11 @@
 import json
+import math
 
+import pytest
+
+from isinglab import cli
 from isinglab.cli import main
+from isinglab.lattice import build_rectangle, corner_neighbors
 
 
 def run(args):
@@ -85,6 +90,23 @@ def test_converge_square_small_ladder(tmp_path):
     assert rc == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("pair", [((0.32, 0.48), (0.67, 0.55)),
+                                  ((0.45, 0.72), (0.72, 0.68))])
+def test_probe_corners_match_a_scan_of_the_corners(pair):
+    """converge-square's probes: the first, in sorted order, of the nearest
+    x-odd corners whose vertex is in the domain, along the whole ladder."""
+    targets = [complex(*z) for z in pair]
+    for over_delta in (16, 32, 64, 128, 184, 256):
+        n = int(round(over_delta / math.sqrt(2.0))) + 1
+        dom = build_rectangle(1.0, n, n)
+        to_unit, _ = cli._unit_square_map(dom)
+        corners = sorted(c for c in dom.corners if c[0] % 2 == 1
+                         and corner_neighbors(c)[0] in dom.vertices)
+        want = [min(corners, key=lambda c: abs(to_unit(dom.position(c)) - t))
+                for t in targets]
+        assert cli._probe_corners(dom, to_unit, targets) == want
 
 
 def _write_cfg(tmp_path, cfg):

@@ -7,13 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bulk_corners
+from conftest import bulk_corners, square
 from isinglab import exact
 from isinglab.exact import (Enumeration, EnumerationError, fermion_field,
                             fermion_multipoint, partition_function)
 from isinglab.lattice import (FREE, WIRED, MeshDomain, PMBoundarySpec,
                               build_annulus, build_rectangle, edge_key,
-                              inner_corner, is_primal, make_cover)
+                              inner_corner, make_cover)
 from isinglab.pfaffian import assemble_multipoint
 from isinglab.sholo import solve_observable
 
@@ -54,12 +54,6 @@ def brute_sums(en: Enumeration, observables, gamma=()) -> list[float]:
                     val *= value(ex.coef, ex.var)
             out[i] += float(np.dot(w, val))
     return list(out)
-
-
-def square(k):
-    """Primal grid points with |x|, |y| <= k."""
-    return {(x, y) for x in range(-k, k + 1) for y in range(-k, k + 1)
-            if is_primal((x, y))}
 
 
 def _assert_matches(en, observables, gamma=()):

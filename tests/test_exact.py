@@ -8,11 +8,11 @@ from isinglab.exact import (
     BETA_CRIT, MAX_FRONTIER, Enumeration, EnumerationError, MixedContent,
     corr_disorder_spin, corr_energy, corr_mixed, corr_pm, corr_spin,
     fermion_field, fermion_multipoint, obs_fermion, partition_function,
-    _phase0, _side,
 )
 from isinglab.lattice import (
-    CornerPoint, MeshDomain, PMBoundarySpec, build_rectangle, corner_phase,
-    edge_key, inner_corner, make_cover, FREE, WIRED,
+    CornerPoint, MeshDomain, PMBoundarySpec, base_phase, build_rectangle,
+    corner_phase, edge_key, inner_corner, make_cover, transport_side, FREE,
+    WIRED,
 )
 from isinglab.sholo import boundary_pairs, stencil_signs
 
@@ -189,15 +189,15 @@ def test_field_is_s_holomorphic_and_satisfies_boundary(ram, arcs):
         tot = 0j
         for c, pm in ((n, 1), (s_, 1), (east, -1), (west, -1)):
             if c == src:
-                tot += pm * signs[c] * _side(src, m) * field[src][0]
+                tot += pm * signs[c] * transport_side(src, m) * field[src][0]
             else:
                 tot += pm * signs[c] * field[c]
         worst = max(worst, abs(tot))
     assert worst < 1e-12
-    eta_s = _phase0(src)
+    eta_s = base_phase(src)
     for c1, c2, sign in boundary_pairs(dom, cov):
-        x1 = (field[c1] * (eta_s * _phase0(c1)).conjugate()).real
-        x2 = (field[c2] * (eta_s * _phase0(c2)).conjugate()).real
+        x1 = (field[c1] * (eta_s * base_phase(c1)).conjugate()).real
+        x2 = (field[c2] * (eta_s * base_phase(c2)).conjugate()).real
         assert abs(x1 - sign * x2) < 1e-12
 
 

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from isinglab.lattice import (
-    AXIS_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, build_annulus,
-    build_rectangle, corner_neighbors, corner_phase, edge_key, enclosure_parity,
-    make_cover, sheet_sign, FREE, WIRED, _reduce_mod2,
+    AXIS_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, base_phase,
+    base_phases, build_annulus, build_rectangle, corner_neighbors,
+    corner_phase, edge_key, enclosure_parity, make_cover, sheet_sign, FREE,
+    WIRED, _reduce_mod2,
 )
 
 
@@ -134,6 +136,14 @@ def test_corner_phase_table_and_sheet():
         p, u = corner_neighbors(pos)
         horizontal = (u[0] - p[0]) != 0
         assert (4 * k) % 8 == (4 if horizontal else 0)
+
+
+def test_base_phases_match_base_phase():
+    corners = [(x, y) for x in range(-9, 10) for y in range(-9, 10)
+               if (x + y) % 2]
+    want = [base_phase(c) for c in corners]
+    assert want == [corner_phase(CornerPoint(c)) for c in corners]
+    assert base_phases(np.array(corners)).tolist() == want
 
 
 def test_json_roundtrip():

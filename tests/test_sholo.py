@@ -5,14 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bulk_corners
-from isinglab.exact import _phase0, fermion_field
-from isinglab.lattice import (FREE, WIRED, build_rectangle, corner_neighbors,
-                              inner_corner, make_cover)
+from conftest import bulk_corners, square
+from isinglab.exact import fermion_field
+from isinglab.lattice import (FREE, WIRED, MeshDomain, base_phase,
+                              build_annulus, build_rectangle,
+                              corner_neighbors, edge_midpoint, inner_corner,
+                              make_cover, transport_side)
 from isinglab.sholo import (
-    SolveError, cauchy_recover, discrete_exponential, discrete_P,
-    discrete_P_split, discrete_Q, integrate_H, boundary_H_spread,
-    solve_observable,
+    SolveError, boundary_pairs, cauchy_recover, discrete_exponential,
+    discrete_P, discrete_P_split, discrete_Q, integrate_H, boundary_H_spread,
+    solve_observable, stencil_signs,
 )
 
 
@@ -60,9 +62,94 @@ def test_uniqueness_regression():
     sol = solve_observable(dom, cov, src)
     # perturbing the solution must strictly increase the residual: re-solve
     # with a perturbed pinned value and compare fields
-    sol2 = solve_observable(dom, cov, src, normalization=2.0 * _phase0(src))
+    sol2 = solve_observable(dom, cov, src, normalization=2.0 * base_phase(src))
     for c in sol.values:
         assert sol2.values[c] == pytest.approx(2.0 * sol.values[c], abs=1e-9)
+
+
+def dense_system(dom, cov, src):
+    """The problem assembled edge by edge into a dense matrix, the reference
+    for the solver's array assembly: real and imaginary rows of every
+    four-corner relation (zero rows skipped), then the boundary pairs."""
+    unknowns = sorted(dom.corners - {src})
+    col = {c: i for i, c in enumerate(unknowns)}
+    rows, rhs = [], []
+    for e in sorted(dom.shol_edges):
+        (n, east, s, west), signs = stencil_signs(dom, cov, e)
+        row = np.zeros(len(unknowns), dtype=complex)
+        b = 0j
+        for c, pm in ((n, 1), (s, 1), (east, -1), (west, -1)):
+            if c == src:
+                b -= (pm * signs[c] * transport_side(src, edge_midpoint(e))
+                      * base_phase(src))
+            else:
+                row[col[c]] += pm * signs[c] * base_phase(c)
+        for part, val in ((row.real, b.real), (row.imag, b.imag)):
+            if part.any() or val:
+                rows.append(part)
+                rhs.append(val)
+    for c1, c2, sign in boundary_pairs(dom, cov):
+        row = np.zeros(len(unknowns))
+        row[col[c1]], row[col[c2]] = 1.0, -sign
+        rows.append(row)
+        rhs.append(0.0)
+    return np.array(rows), np.array(rhs), unknowns
+
+
+def _seeded_rectangle(seed):
+    """A rectangle with one free arc and a ramified pair, drawn from seed."""
+    rng = random.Random(seed)
+    w, h = rng.randint(4, 9), rng.randint(4, 9)
+    n = len(build_rectangle(1.0, w, h).boundary_loops[0])
+    start, length = rng.randint(1, n - 3), rng.randint(1, n // 2)
+    length = min(length, n - start - 1)
+    dom = build_rectangle(1.0, w, h, [(WIRED, start), (FREE, length),
+                                      (WIRED, n - start - length)])
+    ram = rng.sample(sorted(dom.vertices), 2)
+    return dom, ram
+
+
+def _ramified_annulus(outer, inner, ram):
+    return build_annulus(1.0, outer, inner, FREE, FREE), ram
+
+
+_LABEL_PAIRS = [(WIRED, WIRED), (WIRED, FREE), (FREE, WIRED), (FREE, FREE)]
+_SQUARE_SYSTEMS = (
+    [(f"rectangle_seed{k}", lambda k=k: _seeded_rectangle(k))
+     for k in range(6)]
+    + [(f"annulus_{a}_{b}",
+        lambda a=a, b=b: (build_annulus(1.0, 6.0, 3.0, a, b), []))
+       for a, b in _LABEL_PAIRS]
+    + [(f"square{k}-square{j}_{a}_{b}",
+        lambda k=k, j=j, a=a, b=b: (MeshDomain(1.0, square(k) - square(j),
+                                               [a, b]), []))
+       for k, j in ((8, 2), (12, 4)) for a, b in _LABEL_PAIRS]
+    # Two all-free ramified annuli where dropping the row with the largest
+    # |rhs| leaves a poorly conditioned square system (residuals 6.4e-10
+    # and 8.7e-10): the row with the largest left null weight must go.
+    + [("annulus_8.6_ramified",
+        lambda: _ramified_annulus(8.6, 5.12, [(10, 10), (-14, -6)])),
+       ("annulus_11.03_ramified",
+        lambda: _ramified_annulus(11.03, 7.3, [(-16, 0), (10, 18)]))])
+
+
+@pytest.mark.parametrize("make", [m for _, m in _SQUARE_SYSTEMS],
+                         ids=[name for name, _ in _SQUARE_SYSTEMS])
+def test_square_solve_matches_dense_least_squares(make):
+    dom, ram = make()
+    cov = make_cover(dom, ram)
+    src = inner_corner(dom, avoid=set(ram))
+    A, b, unknowns = dense_system(dom, cov, src)
+    # one redundant row, full column rank
+    assert A.shape[0] == A.shape[1] + 1
+    assert np.linalg.matrix_rank(A) == A.shape[1]
+    want = np.linalg.lstsq(A, b, rcond=None)[0]
+    sol = solve_observable(dom, cov, src)
+    got = np.array([(sol.values[c] * base_phase(c).conjugate()).real
+                    for c in unknowns])
+    assert sol.shape == A.shape
+    assert sol.residual < 1e-12
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
 def test_discrete_exponential():
@@ -87,7 +174,7 @@ def test_discrete_exponential():
 @pytest.mark.parametrize("a", [(0, 1), (0, -3), (2, 5), (1, 0), (-3, 0)])
 def test_inverse_kernel_base_values(a):
     plus, minus = discrete_P_split(a)
-    eta = _phase0(a)
+    eta = base_phase(a)
     assert abs(plus - eta) < 1e-12
     assert abs(minus + eta) < 1e-12
     p_, d_ = corner_neighbors(a)
@@ -99,7 +186,7 @@ def test_inverse_kernel_base_values(a):
 
 def test_inverse_kernel_decay():
     a = (0, 1)
-    eta_a = _phase0(a)
+    eta_a = base_phase(a)
     radii = [10, 14, 20, 28, 40, 56, 80, 100]
     errs = []
     for r in radii:
@@ -112,7 +199,7 @@ def test_inverse_kernel_decay():
             z = (X, Y)
             val = discrete_P(a, z)
             pos = complex(z[0] - a[0], z[1] - a[1]) / 2
-            eta_z = _phase0(z)
+            eta_z = base_phase(z)
             proj = (2 / math.pi) * eta_z * (eta_z.conjugate()
                                             * eta_a.conjugate() / pos).real
             emax = max(emax, abs(val - proj))
@@ -127,7 +214,7 @@ def test_sqrt_kernel_values_and_spinor():
             for z in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 2), (1, -2),
                       (-1, 2), (-1, -2)]}
     for z in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        assert abs(vals[z] - _phase0(z)) < 1e-12
+        assert abs(vals[z] - base_phase(z)) < 1e-12
     assert abs(vals[(1, 2)] - (math.sqrt(2) - 1) * lam) < 1e-12
     assert abs(vals[(1, -2)] + (math.sqrt(2) - 1) * lam) < 1e-12
     assert abs(vals[(-1, 2)] - (math.sqrt(2) - 1) * lam.conjugate()) < 1e-12
@@ -135,8 +222,8 @@ def test_sqrt_kernel_values_and_spinor():
     # dual-centred variant: east corner on the base sheet, west corner on
     # the other side of the south branch ray
     w = (2, 0)
-    assert abs(discrete_Q(w, (3, 0)) - _phase0((3, 0))) < 1e-12
-    assert abs(discrete_Q(w, (1, 0)) + _phase0((1, 0))) < 1e-12
+    assert abs(discrete_Q(w, (3, 0)) - base_phase((3, 0))) < 1e-12
+    assert abs(discrete_Q(w, (1, 0)) + base_phase((1, 0))) < 1e-12
 
 
 def test_sqrt_kernel_asymptotics():
@@ -156,7 +243,7 @@ def test_sqrt_kernel_asymptotics():
             if ang_c < -math.pi / 2:
                 ang_c += 2 * math.pi
             zroot = abs(pos) ** -0.5 * cmath.exp(-0.5j * ang_c)
-            eta_z = _phase0(z)
+            eta_z = base_phase(z)
             proj = math.sqrt(2 / math.pi) * eta_z * (
                 eta_z.conjugate() * lam.conjugate() * zroot).real
             emax = max(emax, abs(val - proj) / abs(proj))
