@@ -10,7 +10,9 @@ frozen spins with cluster rejection, mitigated by interleaved
 checkerboard Metropolis sweeps.
 
 The generator is counter-based (Philox) keyed by (seed, chain), so runs
-are reproducible and parallel chains get independent streams.
+are reproducible and parallel chains get independent streams.  One call
+of estimates() runs one chain and measures all its observables on every
+sample of it; estimate() is the same with a single observable.
 """
 
 from __future__ import annotations
@@ -228,36 +230,6 @@ def metropolis_sweep(state: MCState, beta: float | None = None):
         state.spins[group[accept]] = -cur[accept]
 
 
-def _measure(state: MCState, observable) -> float:
-    kind, payload = observable[0], observable[1]
-    g = state.graph
-    comp = 1.0
-    for site in range(g.n_interior, g.n_free):
-        if g.mega_value.get(site, 0) != 0:
-            comp *= state.component_sign(site)
-    if kind == "spin_product":
-        out = 1.0
-        for v in payload:
-            out *= float(state.spins[g.index_of[tuple(v)]])
-        par = len(payload) % 2
-    elif kind == "mean_spin":
-        idx = [g.index_of[tuple(v)] for v in payload]
-        out = float(np.mean(state.spins[idx]))
-        par = 1
-    elif kind == "mean_edge":
-        tot = 0.0
-        for a, b in payload:
-            tot += float(state.spins[g.index_of[tuple(a)]]
-                         * state.spins[g.index_of[tuple(b)]])
-        out = tot / len(payload)
-        par = 0
-    else:
-        raise MonteCarloError(f"unknown observable {kind!r}")
-    # odd observables need the pinned-component sign (flip identity);
-    # even observables are flip-invariant
-    return out * (comp if par == 1 else 1.0)
-
-
 @dataclass
 class Estimate:
     mean: float
@@ -268,30 +240,43 @@ class Estimate:
     rejection_rate: float
 
 
-def estimate(domain: MeshDomain, pm: PMBoundarySpec | None, observable,
-             n_therm: int, n_samples: int, seed: int,
-             sweep_every: int = 10, chain: int = 0,
-             beta: float = BETA_CRIT, n_bins: int = 20) -> Estimate:
-    """Binned mean and jackknife standard error; deterministic in the seed.
+def _read_plan(graph: CouplingGraph, observables):
+    """Resolve the observables to site indices before any update.
 
-    One sample per cluster update, a Metropolis sweep every sweep_every
-    updates; the effective sample size comes from the integrated
-    autocorrelation of the measured series.
-    """
-    if n_samples < 10 * n_bins:
-        raise MonteCarloError("need at least 10 samples per bin")
-    graph = build_graph(domain, pm, beta)
-    state = MCState(graph, seed, chain)
-    for i in range(n_therm):
-        wolff_update(state)
-        if sweep_every and i % sweep_every == 0:
-            metropolis_sweep(state)
-    series = np.empty(n_samples)
-    for i in range(n_samples):
-        wolff_update(state)
-        if sweep_every and i % sweep_every == 0:
-            metropolis_sweep(state)
-        series[i] = _measure(state, observable)
+    Returns the sites a sample reads (the pinned mega-sites, then each
+    observable's vertices in turn, a mean_edge's first endpoints before
+    its second ones), one (kind, start, count) per observable, and the
+    pinned mega-sites with their targets."""
+    if not observables:
+        raise MonteCarloError("no observables to measure")
+    pinned = {s: t for s, t in graph.mega_value.items() if t != 0}
+    read = list(pinned)
+    plan = []
+    for k, obs in enumerate(observables):
+        kind, payload = obs[0], list(obs[1])
+        if kind not in ("spin_product", "mean_spin", "mean_edge"):
+            raise MonteCarloError(f"observable {k}: unknown kind {kind!r}")
+        if kind != "spin_product" and not payload:
+            raise MonteCarloError(f"observable {k} ({kind}) is empty")
+        verts = payload
+        if kind == "mean_edge":
+            if any(len(e) != 2 for e in payload):
+                raise MonteCarloError(
+                    f"observable {k} (mean_edge): an edge is not a pair")
+            verts = [e[0] for e in payload] + [e[1] for e in payload]
+        try:
+            sites = [graph.index_of[tuple(v)] for v in verts]
+        except KeyError as ex:
+            raise MonteCarloError(f"observable {k} ({kind}): vertex "
+                                  f"{ex.args[0]} is not in the graph") from None
+        plan.append((kind, len(read), len(sites)))
+        read += sites
+    return np.array(read, dtype=np.int64), plan, pinned
+
+
+def _summarize(series: np.ndarray, n_bins: int, rejection_rate: float
+               ) -> Estimate:
+    n_samples = len(series)
     bins = series[: n_samples - n_samples % n_bins].reshape(n_bins, -1)
     bmeans = bins.mean(axis=1)
     mean = float(bmeans.mean())
@@ -299,8 +284,74 @@ def estimate(domain: MeshDomain, pm: PMBoundarySpec | None, observable,
     stderr = float(np.sqrt((n_bins - 1) / n_bins * np.sum((jk - jk.mean()) ** 2)))
     tau = integrated_autocorrelation(series)
     ess = n_samples / (2 * tau) if tau > 0 else float(n_samples)
+    return Estimate(mean, stderr, n_samples, ess, tau, rejection_rate)
+
+
+def estimates(domain: MeshDomain, pm: PMBoundarySpec | None, observables,
+              n_therm: int, n_samples: int, seed: int,
+              sweep_every: int = 10, chain: int = 0,
+              beta: float = BETA_CRIT, n_bins: int = 20) -> list[Estimate]:
+    """One Markov chain, every observable measured on every sample.
+
+    An observable is (kind, payload): ("spin_product", vertices),
+    ("mean_spin", vertices) or ("mean_edge", [(a, b), ...]).  They are
+    resolved to sites before the chain runs, so a bad one raises
+    MonteCarloError at once.  One sample per cluster update, a Metropolis
+    sweep every sweep_every updates.  Each sample gathers the spins of
+    every observable and of the pinned mega-sites into one int8 row; the
+    rows are reduced after the chain, in integer arithmetic, so the
+    estimates equal those of separate estimate() calls on the same chain.
+    Each Estimate has the binned mean and jackknife standard error, and
+    its effective sample size comes from the integrated autocorrelation
+    of its series; deterministic in (seed, chain).
+    """
+    if n_bins < 2:
+        raise MonteCarloError("need at least 2 bins for a standard error")
+    if n_samples < 10 * n_bins:
+        raise MonteCarloError("need at least 10 samples per bin")
+    graph = build_graph(domain, pm, beta)
+    read, plan, pinned = _read_plan(graph, observables)
+    state = MCState(graph, seed, chain)
+    for i in range(n_therm):
+        wolff_update(state)
+        if sweep_every and i % sweep_every == 0:
+            metropolis_sweep(state)
+    rec = np.empty((n_samples, len(read)), dtype=np.int8)
+    for i in range(n_samples):
+        wolff_update(state)
+        if sweep_every and i % sweep_every == 0:
+            metropolis_sweep(state)
+        rec[i] = state.spins[read]
+    # odd observables take the pinned-component sign (flip identity);
+    # even ones are flip-invariant
+    sign = np.prod(rec[:, :len(pinned)], axis=1, dtype=np.int8)
+    sign *= math.prod(pinned.values())
     rej = state.n_rejected / max(1, state.n_updates)
-    return Estimate(mean, stderr, n_samples, ess, tau, rej)
+    out = []
+    for kind, start, count in plan:
+        block = rec[:, start:start + count]
+        if kind == "spin_product":
+            series = np.prod(block, axis=1, dtype=np.int8).astype(float)
+            if count % 2:
+                series *= sign
+        elif kind == "mean_spin":
+            series = block.sum(axis=1, dtype=np.int64) / count * sign
+        else:
+            half = count // 2
+            series = (block[:, :half] * block[:, half:]).sum(
+                axis=1, dtype=np.int64) / half
+        out.append(_summarize(series, n_bins, rej))
+    return out
+
+
+def estimate(domain: MeshDomain, pm: PMBoundarySpec | None, observable,
+             n_therm: int, n_samples: int, seed: int,
+             sweep_every: int = 10, chain: int = 0,
+             beta: float = BETA_CRIT, n_bins: int = 20) -> Estimate:
+    """One observable on its own chain: estimates() with a single
+    observable."""
+    return estimates(domain, pm, [observable], n_therm, n_samples, seed,
+                     sweep_every, chain, beta, n_bins)[0]
 
 
 def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:

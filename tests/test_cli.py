@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from isinglab import cli
+from isinglab import cli, montecarlo
 from isinglab.cli import main
-from isinglab.lattice import build_rectangle, corner_neighbors
+from isinglab.lattice import (PMBoundarySpec, build_annulus, build_rectangle,
+                              corner_neighbors)
 
 
 def run(args):
@@ -123,6 +124,40 @@ def test_byte_identical_rerun(tmp_path):
     strip = lambda p: "\n".join(l for l in p.read_text().splitlines()
                                 if not l.startswith("#"))
     assert strip(a) == strip(b)
+
+
+def test_annulus_mc_samples_every_ring_on_one_chain(tmp_path):
+    args = ["annulus-mc", "--diameter", "64", "--n-samples", "600",
+            "--seed", "1", "--config", _write_cfg(tmp_path, {"n_therm": 200})]
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run(args + ["--out", str(a)]) == 0
+    assert run(args + ["--out", str(b)]) == 0
+    strip = lambda p: [l for l in p.read_text().splitlines()
+                       if not l.startswith("# generated")]
+    assert strip(a) == strip(b)
+    header, *rows = [l.split(",") for l in strip(a)]
+    rows = [dict(zip(header, r)) for r in rows]
+    # each row equals an estimate on its own chain of the same seed
+    outer_r = 32.0
+    dom = build_annulus(1.0, outer_r, outer_r * math.exp(-math.log(2)))
+    L_out, L_in = (len(dom.loop_edges(loop)) for loop in dom.boundary_loops)
+    pm = PMBoundarySpec([[("free", L_out)], [("plus", L_in)]])
+    assert len(rows) == 3
+    for fr, row in zip((0.62, 0.75, 0.88), rows):
+        ring = sorted(v for v in dom.vertices
+                      if abs(math.hypot(*v) / 2.0 - fr * outer_r) < 1.5)
+        est = montecarlo.estimate(dom, pm, ("mean_spin", ring), 200, 600, 1)
+        assert float(row["mc_mean"]) == est.mean
+        assert float(row["mc_stderr"]) == est.stderr
+        assert float(row["ess"]) == est.ess
+
+
+def test_annulus_mc_names_an_empty_ring_before_sampling(tmp_path, capsys):
+    # a chain of 10^9 updates would not end: the error must come first
+    cfg = _write_cfg(tmp_path, {"radii": [0.01, 0.75], "n_therm": 10 ** 9})
+    assert run(["annulus-mc", "--config", cfg]) == 2
+    assert "radius fraction 0.01" in capsys.readouterr().err
 
 
 def test_fusion_psi_psi(tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from isinglab.exact import BETA_CRIT, corr_spin
-from isinglab.lattice import MeshDomain, PMBoundarySpec, build_rectangle
+from isinglab.lattice import (MeshDomain, PMBoundarySpec, build_annulus,
+                              build_rectangle)
 from isinglab.montecarlo import (
-    MCState, MonteCarloError, build_graph, estimate, integrated_autocorrelation,
-    metropolis_sweep, wolff_update,
+    MCState, MonteCarloError, build_graph, estimate, estimates,
+    integrated_autocorrelation, metropolis_sweep, wolff_update,
 )
 
 
@@ -70,6 +71,119 @@ def test_sample_count_guard():
     with pytest.raises(MonteCarloError):
         estimate(dom, _plus_pm(dom), ("mean_spin", sorted(dom.vertices)),
                  10, 50, seed=0)
+
+
+def _annulus(outer, inner):
+    dom = build_annulus(1.0, 16.0, 8.0)
+    return dom, PMBoundarySpec([[(lab, len(dom.loop_edges(loop)))]
+                                for loop, lab in zip(dom.boundary_loops,
+                                                     (outer, inner))])
+
+
+def _assert_one_chain(dom, pm, observables, *args, **kwargs):
+    """estimates() on one chain equals estimate() per observable, field
+    for field and bit for bit."""
+    together = estimates(dom, pm, observables, *args, **kwargs)
+    alone = [estimate(dom, pm, obs, *args, **kwargs) for obs in observables]
+    assert together == alone
+    return together
+
+
+def test_estimates_equal_estimate_on_mean_spin_rings():
+    # free outer loop, plus inner loop: one pinned mega-site
+    dom, pm = _annulus("free", "plus")
+    rings = [("mean_spin", [v for v in dom.vertices
+                            if abs(math.hypot(*v) / 2.0 - 16.0 * fr) < 1.5])
+             for fr in (0.62, 0.75, 0.88)]
+    ests = _assert_one_chain(dom, pm, rings, 200, 600, 1)
+    assert all(e.mean > 0 and e.rejection_rate == 0 for e in ests)
+
+
+def test_estimates_equal_estimate_on_a_plus_minus_annulus():
+    dom, pm = _annulus("plus", "minus")
+    vv = sorted(dom.vertices)
+    edges = sorted(dom.interior_edges)[100:160]
+    _assert_one_chain(dom, pm, [
+        ("spin_product", vv[40:43]),
+        ("mean_edge", edges),
+        ("spin_product", [vv[7], vv[7], vv[90]]),
+    ], 100, 400, 4)
+
+
+def test_estimates_equal_estimate_on_a_dobrushin_square():
+    dom = build_rectangle(1.0, 4, 4)
+    pm = PMBoundarySpec([[("minus", 3), ("plus", 8), ("minus", 5)]])
+    vv = sorted(dom.vertices)
+    ests = _assert_one_chain(dom, pm, [("spin_product", [vv[5]]),
+                                       ("spin_product", [vv[5], vv[10]])],
+                             125, 1000, 7, n_bins=40)
+    assert ests[0].rejection_rate > 0.5      # frozen-site rejections
+
+
+def _reference_series(dom, pm, observable, n_therm, n_samples, seed):
+    """The series estimate() averages, one sample at a time in floats: the
+    spins by vertex lookup, odd observables times the signs of the pinned
+    mega-sites (flip identity)."""
+    g = build_graph(dom, pm)
+    st = MCState(g, seed)
+    for i in range(n_therm):
+        wolff_update(st)
+        if i % 10 == 0:
+            metropolis_sweep(st)
+    kind, payload = observable
+    spin = lambda v: float(st.spins[g.index_of[v]])
+    series = []
+    for i in range(n_samples):
+        wolff_update(st)
+        if i % 10 == 0:
+            metropolis_sweep(st)
+        sign = math.prod(st.component_sign(s) for s in g.mega_value)
+        if kind == "mean_edge":
+            series.append(sum(spin(a) * spin(b) for a, b in payload)
+                          / len(payload))
+        elif kind == "mean_spin":
+            series.append(sum(map(spin, payload)) / len(payload) * sign)
+        else:
+            prod = math.prod(map(spin, payload))
+            series.append(prod * sign if len(payload) % 2 else prod)
+    return np.array(series)
+
+
+@pytest.mark.parametrize("kind", ["spin_product", "mean_spin", "mean_edge"])
+def test_estimate_averages_the_reference_series(kind):
+    dom, pm = _annulus("plus", "minus")
+    vv = sorted(dom.vertices)
+    payload = {"spin_product": vv[40:43], "mean_spin": vv[::7],
+               "mean_edge": sorted(dom.interior_edges)[::9]}[kind]
+    est = estimate(dom, pm, (kind, payload), 50, 400, 6)
+    series = _reference_series(dom, pm, (kind, payload), 50, 400, 6)
+    assert est.mean == float(series.reshape(20, -1).mean(axis=1).mean())
+    assert est.tau == integrated_autocorrelation(series)
+
+
+@pytest.mark.parametrize("observable", [
+    ("mean_spin", []),
+    ("mean_edge", []),
+    ("mean_edge", [((0, 0),)]),
+    ("spin_product", [(1001, 1001)]),
+    ("mean_spin", [(0, 0), (1001, 1001)]),
+    ("energy", [(0, 0)]),
+])
+def test_bad_observable_is_refused_before_the_chain(observable):
+    # a chain of 10^9 updates would not end: the error must come first
+    dom = build_rectangle(1.0, 3, 3)
+    with pytest.raises(MonteCarloError):
+        estimates(dom, _plus_pm(dom), [("mean_spin", sorted(dom.vertices)),
+                                       observable], 10 ** 9, 200, seed=0)
+
+
+def test_no_observables_and_one_bin_are_refused():
+    dom = build_rectangle(1.0, 3, 3)
+    obs = ("mean_spin", sorted(dom.vertices))
+    with pytest.raises(MonteCarloError):
+        estimates(dom, _plus_pm(dom), [], 10 ** 9, 200, seed=0)
+    with pytest.raises(MonteCarloError):
+        estimate(dom, _plus_pm(dom), obs, 10 ** 9, 200, seed=0, n_bins=1)
 
 
 def test_detailed_balance_three_spin_chain():

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import bulk_corners, square
 from isinglab.exact import fermion_field
-from isinglab.lattice import (FREE, WIRED, MeshDomain, base_phase,
-                              build_annulus, build_rectangle,
+from isinglab.lattice import (FREE, WIRED, DoubleCover, MeshDomain,
+                              base_phase, build_annulus, build_rectangle,
                               corner_neighbors, edge_midpoint, inner_corner,
                               make_cover, transport_side)
 from isinglab.sholo import (
@@ -150,6 +150,44 @@ def test_square_solve_matches_dense_least_squares(make):
     assert sol.shape == A.shape
     assert sol.residual < 1e-12
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def _arc_spec(w, h, runs):
+    """Boundary runs of a w x h rectangle; a run of length None takes the
+    rest of the loop."""
+    rest = 2 * (w + h) - sum(n for _, n in runs if n is not None)
+    return [(lab, rest if n is None else n) for lab, n in runs]
+
+
+# A wired arc of a single boundary edge between free arcs: the assembled
+# system is inconsistent there (residual 2e-3 to 2 of |rhs|), a defect of
+# the solver that these cases pin until it is mended.
+_SINGLE_EDGE_ARCS = [
+    (6, 5, [(WIRED, 1), (FREE, None)]),
+    (10, 3, [(WIRED, 1), (FREE, None)]),
+    (6, 5, [(FREE, 3), (WIRED, 1), (FREE, None)]),
+    (4, 4, [(FREE, 3), (WIRED, 1), (FREE, None)]),
+    (10, 3, [(FREE, 3), (WIRED, 1), (FREE, None)]),
+]
+
+
+@pytest.mark.xfail(raises=SolveError, strict=True,
+                   reason="single-edge wired arc gives an inconsistent system")
+@pytest.mark.parametrize("w, h, runs", _SINGLE_EDGE_ARCS)
+def test_single_edge_wired_arc_solves(w, h, runs):
+    dom = build_rectangle(1.0, w, h, _arc_spec(w, h, runs))
+    solve_observable(dom, DoubleCover(dom, []), inner_corner(dom))
+
+
+@pytest.mark.parametrize("w, h, runs", [
+    (6, 5, [(WIRED, 2), (FREE, None)]),
+    (6, 5, [(FREE, 3), (WIRED, 2), (FREE, None)]),
+    (10, 3, [(FREE, 3), (WIRED, 2), (FREE, None)]),
+])
+def test_two_edge_wired_arc_solves(w, h, runs):
+    dom = build_rectangle(1.0, w, h, _arc_spec(w, h, runs))
+    sol = solve_observable(dom, DoubleCover(dom, []), inner_corner(dom))
+    assert sol.residual < 1e-14
 
 
 def test_discrete_exponential():
