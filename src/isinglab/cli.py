@@ -337,7 +337,7 @@ def cmd_annulus_mc(cfg) -> int:
     radii_frac = cfg.get("radii", [0.62, 0.75, 0.88])
     rings = []
     for fr in radii_frac:
-        ring = [v for v in dom.vertices
+        ring = [v for v in sorted(dom.vertices)
                 if abs(math.hypot(v[0], v[1]) / 2.0 - fr * outer_r) < 1.5]
         if not ring:
             raise ValueError(f"no lattice vertex at radius fraction {fr}")
