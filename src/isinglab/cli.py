@@ -243,7 +243,7 @@ def _probe_corners(dom, to_unit, targets):
     """For each target in the unit square, the nearest corner v +- (1, 0)
     of a vertex v (one corner orientation along the ladder); of equally
     near corners, the first in sorted order."""
-    verts = np.array(list(dom.vertices))
+    verts = dom.vertex_xy
     cands = np.concatenate([verts + (1, 0), verts - (1, 0)])
     cands = cands[np.lexsort(cands.T[::-1])]
     unit = to_unit((cands[:, 0] + 1j * cands[:, 1]) * (dom.delta / 2.0))

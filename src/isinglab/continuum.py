@@ -470,13 +470,9 @@ def hp_two_point(case: str, **case_kw):
     """Provider of half-plane fermion pair correlators for the assembly."""
 
     def pair(fa: Fermion, fb: Fermion) -> complex:
-        def f(kind):
-            return hp_fermion(case, fa.z, fb.z, kind, **case_kw)
         ka, kb = fa.kind, fb.kind
         if ka == "eta" or kb == "eta":
             # psi^eta = (conj(eta) psi + eta psi*) / 2
-            ea = fa.eta if ka == "eta" else None
-            eb = fb.eta if kb == "eta" else None
             total = 0j
             for sa, wa in _eta_split(fa):
                 for sb, wb in _eta_split(fb):

@@ -63,6 +63,19 @@ def theta1_prime0(q: complex) -> complex:
     raise EllipticError("theta series did not converge")
 
 
+@lru_cache(maxsize=64)
+def _theta_constants(q: float) -> tuple[float, float, float]:
+    """theta_2, theta_3 and theta_4 at zero for the real nome q."""
+    return tuple(theta(j, 0.0, q).real for j in (2, 3, 4))
+
+
+def _nome(p: float) -> float:
+    """The nome exp(-pi^2 / p) of the annulus of modulus p."""
+    if p <= 0:
+        raise EllipticError("annulus modulus must be positive")
+    return math.exp(-math.pi ** 2 / p)
+
+
 # -- modulus bookkeeping ------------------------------------------------------
 
 
@@ -79,12 +92,9 @@ class EllipticModulus:
 
     @classmethod
     def from_modulus(cls, p: float) -> "EllipticModulus":
-        if p <= 0:
-            raise EllipticError("annulus modulus must be positive")
+        q = _nome(p)
         tau = 1j * math.pi / p
-        q = math.exp(-math.pi ** 2 / p)
-        t2 = theta(2, 0.0, q).real
-        t3 = theta(3, 0.0, q).real
+        t2, t3, _ = _theta_constants(q)
         k = (t2 / t3) ** 2
         K = math.pi / 2 * t3 * t3
         return cls(p, tau, q, k, K, K * math.pi / p)
@@ -101,10 +111,8 @@ class EllipticModulus:
 
 @lru_cache(maxsize=64)
 def _wp_setup(p: float):
-    q = math.exp(-math.pi ** 2 / p)
-    t2 = theta(2, 0.0, q).real
-    t3 = theta(3, 0.0, q).real
-    t4 = theta(4, 0.0, q).real
+    q = _nome(p)
+    t2, t3, t4 = _theta_constants(q)
     pref = (math.pi / (2 * p)) ** 2
     e1 = pref * (t3 ** 4 + t4 ** 4) / 3
     e2 = pref * (t2 ** 4 - t4 ** 4) / 3
@@ -161,18 +169,15 @@ def jacobi(kind: str, z: complex, p: float) -> complex:
         ds(z + 2p) = -ds(z)   ds(z + 2 pi i) = -ds(z)
         cs(z + 2p) = cs(z)    cs(z + 2 pi i) = -cs(z)
     """
-    mod = EllipticModulus.from_modulus(p)
-    q = mod.nome
-    t2 = theta(2, 0.0, q).real
-    t3 = theta(3, 0.0, q).real
-    t4 = theta(4, 0.0, q).real
+    q = _nome(p)
+    t2, t3, t4 = _theta_constants(q)
     zeta = math.pi * complex(z) / (2 * p)
     th1 = theta(1, zeta, q)
     if abs(th1) < 1e-300:
         raise EllipticError("evaluation at a pole")
     th2, th3, th4 = (theta(i, zeta, q) for i in (2, 3, 4))
     sn = (t3 / t2) * th1 / th4
-    scale = mod.K / p
+    scale = math.pi / 2 * t3 * t3 / p     # K / p
     if kind == "ns":
         return scale / sn
     if kind == "ds":
@@ -188,9 +193,7 @@ def jacobi(kind: str, z: complex, p: float) -> complex:
 
 
 def _sn_cn_dn(u: complex, q: float):
-    t2 = theta(2, 0.0, q).real
-    t3 = theta(3, 0.0, q).real
-    t4 = theta(4, 0.0, q).real
+    t2, t3, t4 = _theta_constants(q)
     zeta = complex(u) / (t3 * t3)
     th1, th2, th3, th4 = (theta(i, zeta, q) for i in (1, 2, 3, 4))
     sn = (t3 / t2) * th1 / th4
@@ -218,8 +221,7 @@ class RectangleMap:
         if aspect <= 0:
             raise EllipticError("aspect must be positive")
         q = math.exp(-2 * math.pi * aspect)
-        t2 = theta(2, 0.0, q).real
-        t3 = theta(3, 0.0, q).real
+        t2, t3, _ = _theta_constants(q)
         k = (t2 / t3) ** 2
         K = math.pi / 2 * t3 * t3
         return cls(aspect, k, K, q)

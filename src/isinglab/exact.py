@@ -19,16 +19,16 @@ Serves as the ground-truth oracle for the solver and Monte Carlo modules.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import (
-    FREE, MINUS, PLUS, WIRED, CornerPoint, DoubleCover, MeshDomain,
-    PMBoundarySpec, corner_neighbors, crossing_edge, edge_key, is_primal,
-    phase_step_sign, rotation_vertex, step_crossed_edge, corner_phase,
-    base_phase, corner_direction, transport_side,
+    CORNER_STEPS, DIAG_STEPS, FREE, MINUS, PLUS, WIRED, CornerPoint,
+    DoubleCover, MeshDomain, PMBoundarySpec, base_phase, bfs_path,
+    corner_direction, corner_neighbors, corner_phase, crossing_edge,
+    edge_key, is_primal, make_cover, neighbors_in, phase_step_sign,
+    reduce_mod2, rotation_vertex, step_crossed_edge, transport_side,
 )
 
 BETA_CRIT = 0.5 * math.log(math.sqrt(2.0) + 1.0)
@@ -45,13 +45,6 @@ _FIELD_SIGNS = np.array([1.0, -1.0])
 
 class EnumerationError(ValueError):
     pass
-
-
-def _reduce_spins(spins) -> tuple:
-    out: set = set()
-    for s in spins:
-        out.symmetric_difference_update({tuple(s)})
-    return tuple(sorted(out))
 
 
 @dataclass
@@ -94,8 +87,8 @@ class Enumeration:
         self.domain = domain
         self.beta = beta
         self.mode = mode
-        verts = sorted(domain.vertices)
-        self.vert_index = {v: i for i, v in enumerate(verts)}
+        self.vert_index = domain.vertex_index
+        verts = list(self.vert_index)
         self.exprs: dict[tuple, _Expr] = {
             v: _Expr(1, i) for v, i in self.vert_index.items()}
         nbits = self._assign_outer(pm)
@@ -161,8 +154,7 @@ class Enumeration:
         raise EnumerationError(f"unknown mode {self.mode!r}")
 
     def _set_outer(self, de, expr: _Expr):
-        ce = crossing_edge(de)
-        p_out = ce[0] if ce[0] not in self.domain.vertices else ce[1]
+        p_out = self.domain.sides[de][1]
         old = self.exprs.get(p_out)
         if old is not None and (old.coef, old.var) != (expr.coef, expr.var):
             raise EnumerationError(
@@ -173,16 +165,16 @@ class Enumeration:
 
     def _build_edges(self):
         dom = self.domain
-        self.edge_terms: dict[tuple, tuple[int, int | None, int | None]] = {}
-        for e in sorted(dom.interior_edges):
-            a, b = self.exprs[e[0]], self.exprs[e[1]]
-            self.edge_terms[e] = (a.coef * b.coef, a.var, b.var)
-        for e in sorted(dom.crossing_edges):
-            if self.active_label[crossing_edge(e)] == FREE:
+        verts = list(self.vert_index)
+        # interior edges join two vertex variables
+        self.edge_terms: dict[tuple, tuple[int, int | None, int | None]] = {
+            (verts[i], verts[j]): (1, i, j)
+            for i, j in dom.interior_pairs.tolist()}
+        for de, (vin, vout) in dom.sides.items():
+            if self.active_label[de] == FREE:
                 continue
-            vin, vout = (e[0], e[1]) if e[0] in dom.vertices else (e[1], e[0])
             a, b = self.exprs[vin], self.exprs[vout]
-            self.edge_terms[e] = (a.coef * b.coef, a.var, b.var)
+            self.edge_terms[edge_key(vin, vout)] = (a.coef * b.coef, a.var, b.var)
 
     def _reduce_energy(self):
         """Energy as const + sum_v h_v s_v + sum_(a,b) J_ab s_a s_b; parallel
@@ -367,7 +359,7 @@ def corr_spin(domain: MeshDomain, vertices, pm: PMBoundarySpec | None = None,
               beta: float = BETA_CRIT) -> float:
     """E[sigma_v1 ... sigma_vn]; exactly zero for odd counts under the
     flip-symmetric standard boundary conditions."""
-    spins = _reduce_spins(vertices)
+    spins = reduce_mod2(vertices)
     if pm is None and len(spins) % 2 == 1:
         return 0.0
     mode = "pinned" if pm is not None else "standard"
@@ -380,7 +372,7 @@ def corr_disorder_spin(domain: MeshDomain, gamma, vertices=(),
                        pm: PMBoundarySpec | None = None,
                        normalized: bool = True, beta: float = BETA_CRIT) -> float:
     """E[mu_gamma sigma_v1 ... sigma_vn] for an explicit dual-edge cut."""
-    spins = _reduce_spins(vertices)
+    spins = reduce_mod2(vertices)
     mode = "pinned" if pm is not None else "standard"
     en = Enumeration(domain, mode, pm, beta)
     (num,) = en.sums([spins], gamma=gamma)
@@ -434,7 +426,7 @@ def _energy_terms(en: Enumeration, spins, energy_edges) -> list[tuple]:
         coef = math.sqrt(2.0) ** len(edges) * (-1 / math.sqrt(2.0)) ** (
             len(edges) - len(sub))
         ends = [v for e in sub for v in e]
-        terms.append((coef, _reduce_spins(tuple(spins) + tuple(ends))))
+        terms.append((coef, reduce_mod2(tuple(spins) + tuple(ends))))
     return terms
 
 
@@ -472,8 +464,7 @@ def _pm_via_mono(domain, pm, spins, energy_edges, beta) -> float:
         for oe in domain.loop_edges(loop):
             de = edge_key(*oe)
             if labels[de] in (PLUS, MINUS):
-                ce = crossing_edge(de)
-                p_out = ce[0] if ce[0] not in domain.vertices else ce[1]
+                p_out = domain.sides[de][1]
                 want = 1 if labels[de] == PLUS else -1
                 marks.append((p_out, want))
                 break
@@ -487,7 +478,7 @@ def _pm_via_mono(domain, pm, spins, energy_edges, beta) -> float:
         pts = tuple(p for p, _ in sub)
         num_terms += [(alpha * c, s) for c, s in _energy_terms(
             en, tuple(spins) + pts, energy_edges)]
-        den_terms.append((alpha, _reduce_spins(pts)))
+        den_terms.append((alpha, reduce_mod2(pts)))
     num, den = _expanded_sums(en, [num_terms, den_terms])
     return num / den
 
@@ -546,32 +537,6 @@ class _Transport:
         return self.chi * (1 - 2 * self.lift)
 
 
-def _corner_graph_neighbors(corners: set, c):
-    out = []
-    for d in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        w = (c[0] + d[0], c[1] + d[1])
-        if w in corners:
-            out.append(w)
-    return out
-
-
-def _corner_bfs_path(corners: set, start, goal, avoid=frozenset()):
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        if c == goal:
-            path = [c]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for w in _corner_graph_neighbors(corners, c):
-            if w not in prev and w not in avoid:
-                prev[w] = c
-                queue.append(w)
-    raise EnumerationError(f"no corner path {start} -> {goal}")
-
-
 def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
                   beta: float = BETA_CRIT) -> dict:
     """Two-point observable as a field: F(source, c) for every corner c.
@@ -584,7 +549,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
     if src.pos not in domain.corners:
         raise EnumerationError("source corner outside the domain")
     en = Enumeration(domain, "standard", beta=beta)
-    ram = _reduce_spins(cover.ram_primal)
+    ram = reduce_mod2(cover.ram_primal)
     den = en.sums([ram])[0]
     if den == 0.0:
         raise EnumerationError("vanishing spin correlation denominator")
@@ -600,7 +565,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
         if not is_src:
             order.append(c)
             states[c] = st
-        for w in _corner_graph_neighbors(domain.corners, c):
+        for w in neighbors_in(c, CORNER_STEPS, domain.corners):
             if w in seen:
                 continue
             seen.add(w)
@@ -612,7 +577,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
     obs = []
     for c in order:
         p, _ = corner_neighbors(c)
-        obs.append(_reduce_spins(ram + (corner_neighbors(src.pos)[0], p)))
+        obs.append(reduce_mod2(ram + (corner_neighbors(src.pos)[0], p)))
     # one enumeration per distinct cut; group corners by their gamma set
     groups: dict[frozenset, list[int]] = {}
     for i, c in enumerate(order):
@@ -644,7 +609,7 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
     if len(set(pos)) != len(pos):
         raise EnumerationError("corner positions must be distinct")
     en = Enumeration(domain, "standard", beta=beta)
-    ram = _reduce_spins(cover.ram_primal)
+    ram = reduce_mod2(cover.ram_primal)
     den = en.sums([ram])[0]
     st = _Transport(cover)
     phase = complex(1.0)
@@ -653,13 +618,17 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
         a, b = pos[j], pos[j + 1]
         phase *= base_phase(a) * base_phase(b)
         forbidden = frozenset(placed) | frozenset(tuple(q) for q in avoid) - {a, b}
-        path = _corner_bfs_path(domain.corners, a, b,
-                                avoid=(forbidden | {a}) - {b})
+        blocked = (forbidden | {a}) - {b}
+        path = bfs_path(a, lambda c: [
+            w for w in neighbors_in(c, CORNER_STEPS, domain.corners)
+            if w not in blocked], lambda c: c == b)
+        if path is None:
+            raise EnumerationError(f"no corner path {a} -> {b}")
         st.chi *= transport_side(a, path[1])
         for c1, c2 in zip(path, path[1:]):
             st.step(c1, c2)
         placed += [a, b]
-    spins = _reduce_spins(ram + tuple(corner_neighbors(p)[0] for p in pos))
+    spins = reduce_mod2(ram + tuple(corner_neighbors(p)[0] for p in pos))
     num = en.sums([spins], gamma=st.gamma)[0]
     sheet = sum(p.sheet for p in pts) % 2
     return (1 - 2 * sheet) * st.sign * phase * num / den
@@ -729,14 +698,18 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     duals = [c.dual for c in [_as_corner(f) for f in content.fermions]]
     duals += [tuple(u) for u in content.disorders]
     for j in range(0, len(duals) - 1, 2):
-        path = _dual_bfs_path(domain, duals[j], duals[j + 1])
-        for a, b in zip(path, path[1:]):
-            gamma.symmetric_difference_update({edge_key(a, b)})
+        a, b = duals[j], duals[j + 1]
+        path = bfs_path(a, lambda c: neighbors_in(c, DIAG_STEPS, domain.duals),
+                        lambda c: c == b)
+        if path is None:
+            raise EnumerationError(f"no dual path {a} -> {b}")
+        for x, y in zip(path, path[1:]):
+            gamma.symmetric_difference_update({edge_key(x, y)})
     if len(duals) % 2 == 1:
         raise EnumerationError("odd disorder count has no standard-bc value")
     spin_list = list(content.spins)
     spin_list += [_as_corner(f).primal for f in content.fermions]
-    direct_spins = _reduce_spins(spin_list)
+    direct_spins = reduce_mod2(spin_list)
     (total,) = _expanded_sums(
         en, [_energy_terms(en, direct_spins, content.energies)], gamma)
     direct = total / z
@@ -752,10 +725,10 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
 
 def _mixed_via_fermions(domain, content: MixedContent, en, z, beta) -> float:
     corners, vertices = content.total_corners(domain)
-    cover = DoubleCover(domain, ram_primal=frozenset(_reduce_spins(vertices)))
+    cover = DoubleCover(domain, ram_primal=frozenset(reduce_mod2(vertices)))
     cover = _with_cut(domain, cover)
     F = fermion_multipoint(domain, cover, corners, beta=beta)
-    spin_corr = en.sums([_reduce_spins(vertices)])[0] / z
+    spin_corr = en.sums([reduce_mod2(vertices)])[0] / z
     eta_prod = complex(1.0)
     for c in corners:
         eta_prod *= corner_phase(_as_corner(c))
@@ -764,26 +737,8 @@ def _mixed_via_fermions(domain, content: MixedContent, en, z, beta) -> float:
 
 
 def _with_cut(domain, cover: DoubleCover) -> DoubleCover:
-    from .lattice import make_cover
     pts = sorted(cover.ram_primal)
     if not pts:
         return cover
     return make_cover(domain, pts)
 
-
-def _dual_bfs_path(domain: MeshDomain, a, b):
-    prev = {a: None}
-    queue = deque([a])
-    while queue:
-        c = queue.popleft()
-        if c == b:
-            path = [c]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for s in ((2, 2), (2, -2), (-2, 2), (-2, -2)):
-            w = (c[0] + s[0], c[1] + s[1])
-            if w in domain.duals and w not in prev:
-                prev[w] = c
-                queue.append(w)
-    raise EnumerationError(f"no dual path {a} -> {b}")

@@ -21,6 +21,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +32,10 @@ Edge = tuple[Coord, Coord]
 DIAG_STEPS: tuple[Coord, ...] = ((2, 2), (2, -2), (-2, 2), (-2, -2))
 AXIS_STEPS: tuple[Coord, ...] = ((2, 0), (0, 2), (-2, 0), (0, -2))
 CORNER_STEPS: tuple[Coord, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_DIAG = np.array(DIAG_STEPS)
+_CORNER_OFFSETS = np.array(AXIS_STEPS) // 2
+# x + y and x - y, both 0 mod 4 exactly at primal vertices
+_PRIMAL_TEST = np.array([(1, 1), (1, -1)])
 
 # Dirac phase exponents: eta = exp(i*pi*k/4), indexed by the direction of
 # z• - z°.  East (+delta) carries exp(i*pi/4); north (+i*delta) carries 1.
@@ -39,6 +45,96 @@ WIRED = "wired"
 FREE = "free"
 PLUS = "plus"
 MINUS = "minus"
+
+
+# -- grid coding ------------------------------------------------------------
+
+# Grid points are coded as one integer each, increasing in lexicographic
+# order, for coordinates within +-_OFFSET.  Domain vertices stay within
+# _REACH, so every grid point a domain or its stencils touch has a code.
+_OFFSET = 1 << 20
+_SPAN = 1 << 21
+_REACH = _OFFSET // 2
+_CODE = np.array([_SPAN, 1])
+_BIAS = _OFFSET * _SPAN + _OFFSET
+
+
+def codes(xy: np.ndarray) -> np.ndarray:
+    """One integer per grid point of xy (shape (..., 2))."""
+    return xy @ _CODE + _BIAS
+
+
+def edge_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One integer per diagonal grid edge a-b: its midpoint and whether it
+    rises to the right."""
+    rising = (b[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]) > 0
+    return 2 * codes((a + b) // 2) + rising
+
+
+def lookup(keys: np.ndarray, wanted: np.ndarray):
+    """Positions of the codes wanted in the sorted keys, and which of them
+    are there."""
+    pos = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+    return pos, keys[pos] == wanted
+
+
+def _points(xy: np.ndarray):
+    """The rows of xy (shape (k, 2)) as coordinate tuples, lazily."""
+    return zip(xy[:, 0].tolist(), xy[:, 1].tolist())
+
+
+# -- graph search -----------------------------------------------------------
+
+
+def neighbors_in(c: Coord, steps, members) -> list[Coord]:
+    """The grid points c + s, for s in steps in turn, that lie in members."""
+    return [w for w in ((c[0] + s[0], c[1] + s[1]) for s in steps)
+            if w in members]
+
+
+def bfs(start, neighbors, goal=None) -> dict:
+    """Breadth-first search from start, first in first out.
+
+    Returns the parent map in discovery order: each node reached, mapped to
+    the node it was first reached from (start to None).  neighbors(c) lists
+    the neighbours of c in the order they are tried.  With a goal predicate
+    the search stops at the first node taken from the queue that meets it.
+    """
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        if goal is not None and goal(c):
+            break
+        for w in neighbors(c):
+            if w not in parents:
+                parents[w] = c
+                queue.append(w)
+    return parents
+
+
+def bfs_path(start, neighbors, goal) -> list | None:
+    """Shortest path from start to the first node that meets goal, as bfs
+    finds it; None when no reachable node meets goal."""
+    parents = bfs(start, neighbors, goal)
+    end = next((c for c in parents if goal(c)), None)
+    if end is None:
+        return None
+    path = [end]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
+def reduce_mod2(points) -> tuple:
+    """The points that occur an odd number of times, sorted."""
+    odd: set = set()
+    for p in points:
+        odd.symmetric_difference_update({tuple(p)})
+    return tuple(sorted(odd))
+
+
+# -- grid geometry ----------------------------------------------------------
 
 
 def is_primal(c: Coord) -> bool:
@@ -182,7 +278,7 @@ def transport_side(source_pos: Coord, target_pos: Coord) -> int:
 def inner_corner(domain: MeshDomain, avoid=()) -> Coord:
     """First corner, in sorted order, whose primal vertex and its four
     neighbours lie in the domain, skipping vertices in avoid."""
-    for c in sorted(domain.corners):
+    for c in _points(domain.corner_xy):
         p, _ = corner_neighbors(c)
         if p not in avoid and p in domain.vertices and all(
                 (p[0] + s[0], p[1] + s[1]) in domain.vertices
@@ -192,85 +288,81 @@ def inner_corner(domain: MeshDomain, avoid=()) -> Coord:
 
 
 class MeshDomain:
-    """A discrete domain: primal vertices, boundary arcs, corner graph."""
+    """A discrete domain: primal vertices, boundary arcs, corner graph.
+
+    Built from the sorted vertex codes: vertex_xy (n, 2) in sorted order;
+    interior_pairs (m, 2), the rows of vertex_xy
+    joined by each interior edge, in sorted edge order; and sides, which
+    maps each boundary dual edge to the (inner, outer) endpoints of the
+    primal edge crossing it, in sorted crossing-edge order.  The rest is
+    derived from these on first use: the sorted arrays corner_xy (k, 2)
+    and shol_edge_xy (s, 2, 2), the vertex_index map, and the geometry as
+    sets (duals, interior_edges, crossing_edges, boundary_edges, corners,
+    shol_edges).
+    """
 
     def __init__(self, delta: float, vertices: set[Coord],
                  arc_specs=None, lattice_map=None):
         if not vertices:
             raise ValueError("empty vertex set")
-        for v in vertices:
-            if not is_primal(v):
-                raise ValueError(f"not a primal vertex: {v}")
         self.delta = float(delta)
         self.vertices = frozenset(vertices)
         self.lattice_map = lattice_map  # optional (m, n) -> coord for rectangles
         self._build_graph()
         self._build_boundary()
         self._apply_arc_specs(arc_specs)
-        self._build_corners()
 
     # -- construction ---------------------------------------------------
 
     def _build_graph(self):
-        verts = self.vertices
-        self.duals: set[Coord] = set()
-        for v in verts:
-            for s in AXIS_STEPS:
-                self.duals.add((v[0] + s[0], v[1] + s[1]))
-        self.interior_edges: set[Edge] = set()
-        self.crossing_edges: set[Edge] = set()
-        for v in verts:
-            for s in DIAG_STEPS:
-                w = (v[0] + s[0], v[1] + s[1])
-                e = edge_key(v, w)
-                if w in verts:
-                    self.interior_edges.add(e)
-                else:
-                    self.crossing_edges.add(e)
+        n = len(self.vertices)
+        xy = np.fromiter(chain.from_iterable(self.vertices), np.int64,
+                         2 * n).reshape(n, 2)
+        bad = (xy @ _PRIMAL_TEST % 4).any(axis=1)
+        if bad.any():
+            raise ValueError(f"not a primal vertex: {tuple(xy[bad][0].tolist())}")
+        if np.abs(xy).max() > _REACH:
+            raise ValueError(f"vertex beyond +-{_REACH} grid units")
+        keys = codes(xy)
+        order = keys.argsort()
+        xy = self.vertex_xy = xy[order]
+        keys = keys[order]
+        pos, inside = lookup(keys, codes(xy[:, None] + _DIAG))
+        # an interior edge from its lower endpoint, by the steps (2, -2)
+        # and (2, 2) in turn, comes in sorted order
+        lo, k = np.nonzero(inside[:, 1::-1])
+        self.interior_pairs = np.array((lo, pos[:, 1::-1][lo, k])).T
+        # a crossing edge from its inner endpoint
+        row, k = np.nonzero(~inside)
+        ends = sorted((edge_key(a, b), a, b) for a, b in zip(
+            _points(xy[row]), _points(xy[row] + _DIAG[k])))
+        self.sides: dict[Edge, tuple[Coord, Coord]] = {
+            crossing_edge(e): (a, b) for e, a, b in ends}
 
     def _build_boundary(self):
-        """Boundary = dual edges separating an inner from an outer vertex."""
-        self.boundary_edges: set[Edge] = set()
-        for e in self.crossing_edges:
-            self.boundary_edges.add(crossing_edge(e))
-        incid: dict[Coord, list[Edge]] = {}
-        for be in self.boundary_edges:
-            for u in be:
-                incid.setdefault(u, []).append(be)
-        bad = [u for u, es in incid.items() if len(es) != 2]
-        if bad:
-            raise ValueError(f"boundary is not a union of simple loops near {bad[:4]}")
-        # trace loops, oriented with the domain on the left
-        unused = set(self.boundary_edges)
+        """Boundary loops of dual vertices, each oriented with the domain on
+        the left, starting at its least vertex, longest loop first."""
+        succ: dict[Coord, Coord] = {}
+        for (u0, u1), (p_in, _) in self.sides.items():
+            cross = ((u1[0] - u0[0]) * (p_in[1] - u0[1])
+                     - (u1[1] - u0[1]) * (p_in[0] - u0[0]))
+            if cross < 0:
+                u0, u1 = u1, u0
+            if succ.setdefault(u0, u1) != u1:
+                raise ValueError(
+                    f"boundary is not a union of simple loops near {u0}")
         loops: list[list[Coord]] = []
-        while unused:
-            start = min(unused)
-            u0, u1 = self._orient(start)
-            loop = [u0]
-            cur, prev = u1, u0
-            unused.discard(start)
-            while cur != loop[0]:
-                loop.append(cur)
-                nxt_edge = next(e for e in incid[cur] if e != edge_key(prev, cur))
-                a, b = nxt_edge
-                nxt = b if a == cur else a
-                unused.discard(nxt_edge)
-                prev, cur = cur, nxt
-            k = loop.index(min(loop))
-            loops.append(loop[k:] + loop[:k])
+        todo = set(succ)
+        while todo:
+            u = min(todo)
+            loop = []
+            while u in todo:
+                todo.remove(u)
+                loop.append(u)
+                u = succ[u]
+            loops.append(loop)
         loops.sort(key=lambda lp: (-len(lp), lp[0]))
         self.boundary_loops = loops
-
-    def _orient(self, e: Edge) -> tuple[Coord, Coord]:
-        """Return e ordered so that the inner endpoint of the crossing primal
-        edge lies on the left of travel."""
-        u0, u1 = e
-        ce = crossing_edge(e)
-        p_in = ce[0] if ce[0] in self.vertices else ce[1]
-        d = (u1[0] - u0[0], u1[1] - u0[1])
-        r = (p_in[0] - u0[0], p_in[1] - u0[1])
-        cross = d[0] * r[1] - d[1] * r[0]
-        return (u0, u1) if cross > 0 else (u1, u0)
 
     def _apply_arc_specs(self, arc_specs):
         """Label boundary dual edges wired/free.
@@ -284,49 +376,70 @@ class MeshDomain:
             arc_specs = [arc_specs] * len(self.boundary_loops)
         if len(arc_specs) != len(self.boundary_loops):
             raise ValueError("need one arc spec per boundary loop")
-        self.edge_label: dict[Edge, str] = {}
-        for loop, spec in zip(self.boundary_loops, arc_specs):
-            edges = self.loop_edges(loop)
-            if isinstance(spec, str):
-                runs = [(spec, len(edges))]
-            else:
-                runs = list(spec)
-            if sum(n for _, n in runs) != len(edges):
-                raise ValueError(
-                    f"arc spec covers {sum(n for _, n in runs)} edges, "
-                    f"loop has {len(edges)}")
-            i = 0
-            for label, n in runs:
-                if label not in (WIRED, FREE):
-                    raise ValueError(f"unknown arc label {label!r}")
-                for _ in range(n):
-                    self.edge_label[edge_key(*edges[i])] = label
-                    i += 1
+        runs = [[(spec, len(loop))] if isinstance(spec, str) else spec
+                for loop, spec in zip(self.boundary_loops, arc_specs)]
+        self.edge_label = run_labels(self, runs, (WIRED, FREE), "arc")
 
-    def _build_corners(self):
-        self.corners: set[Coord] = set()
-        for v in self.vertices:
-            for s in AXIS_STEPS:
-                self.corners.add((v[0] + s[0] // 2, v[1] + s[1] // 2))
-        self.wired_outer: set[Coord] = set()
-        for e in self.crossing_edges:
-            de = crossing_edge(e)
-            if self.edge_label[de] != WIRED:
-                continue
-            p_out = e[0] if e[0] not in self.vertices else e[1]
-            self.wired_outer.add(p_out)
-            for u in de:
-                self.corners.add(((p_out[0] + u[0]) // 2, (p_out[1] + u[1]) // 2))
-        # edges whose four-corner stencil enters the linear problems
-        self.shol_edges: set[Edge] = set(self.interior_edges)
-        for e in self.crossing_edges:
-            if self.edge_label[crossing_edge(e)] == WIRED:
-                self.shol_edges.add(e)
-        self.energy_edges: set[Edge] = set(self.shol_edges)
-        self.free_duals: set[Coord] = set()
-        for de, lab in self.edge_label.items():
-            if lab == FREE:
-                self.free_duals.update(de)
+    # -- derived geometry, built on first use ------------------------------
+
+    def _wired_sides(self) -> list[tuple[Edge, tuple[Coord, Coord]]]:
+        return [(de, io) for de, io in self.sides.items()
+                if self.edge_label[de] == WIRED]
+
+    @cached_property
+    def corner_xy(self) -> np.ndarray:
+        """Four corners at each vertex, and two at the outer vertex of each
+        wired crossing edge (shared where two such edges meet)."""
+        outer = {((p_out[0] + u[0]) // 2, (p_out[1] + u[1]) // 2)
+                 for de, (_, p_out) in self._wired_sides() for u in de}
+        pts = np.concatenate([
+            (self.vertex_xy[:, None] + _CORNER_OFFSETS).reshape(-1, 2),
+            np.array(list(outer), dtype=np.int64).reshape(-1, 2)])
+        return pts[codes(pts).argsort()]
+
+    @cached_property
+    def shol_edge_xy(self) -> np.ndarray:
+        """Edges whose four-corner stencil enters the linear problems: the
+        interior and the wired crossing edges."""
+        edges = np.concatenate([
+            self.vertex_xy[self.interior_pairs],
+            np.array([edge_key(*io) for _, io in self._wired_sides()],
+                     dtype=np.int64).reshape(-1, 2, 2)])
+        # sorted by lower endpoint, then by upper one
+        order = (2 * codes(edges[:, 0])
+                 + (edges[:, 1, 1] > edges[:, 0, 1])).argsort()
+        return edges[order]
+
+    @cached_property
+    def vertex_index(self) -> dict[Coord, int]:
+        return dict(zip(_points(self.vertex_xy), range(len(self.vertex_xy))))
+
+    @cached_property
+    def duals(self) -> set[Coord]:
+        return {(x + s[0], y + s[1]) for x, y in self.vertices
+                for s in AXIS_STEPS}
+
+    @cached_property
+    def interior_edges(self) -> set[Edge]:
+        a, b = self.vertex_xy[self.interior_pairs.T]
+        return set(zip(_points(a), _points(b)))
+
+    @cached_property
+    def crossing_edges(self) -> set[Edge]:
+        return {edge_key(*io) for io in self.sides.values()}
+
+    @cached_property
+    def boundary_edges(self) -> set[Edge]:
+        return set(self.sides)
+
+    @cached_property
+    def corners(self) -> set[Coord]:
+        return set(_points(self.corner_xy))
+
+    @cached_property
+    def shol_edges(self) -> set[Edge]:
+        return set(zip(_points(self.shol_edge_xy[:, 0]),
+                       _points(self.shol_edge_xy[:, 1])))
 
     # -- queries ---------------------------------------------------------
 
@@ -445,7 +558,6 @@ def build_annulus(delta: float, outer_radius: float, inner_radius: float,
         for y in range(-int(outer_radius / h) - 2, int(outer_radius / h) + 3)
         if is_primal((x, y)) and r2i < x * x + y * y < r2o
     }
-    verts = _largest_component(verts)
     verts = _prune_pinches(verts)
     dom = MeshDomain(delta, verts, None)
     if len(dom.boundary_loops) != 2:
@@ -455,32 +567,20 @@ def build_annulus(delta: float, outer_radius: float, inner_radius: float,
     return dom
 
 
-def _largest_component(verts: set[Coord]) -> set[Coord]:
-    best: set[Coord] = set()
-    seen: set[Coord] = set()
-    for v0 in verts:
-        if v0 in seen:
-            continue
-        comp = {v0}
-        queue = deque([v0])
-        while queue:
-            v = queue.popleft()
-            for s in DIAG_STEPS:
-                w = (v[0] + s[0], v[1] + s[1])
-                if w in verts and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        if len(comp) > len(best):
-            best = comp
-    return best
-
-
 def _prune_pinches(verts: set[Coord]) -> set[Coord]:
-    """Remove vertices until every boundary dual vertex has exactly two
-    incident boundary edges (simple loops)."""
-    verts = set(verts)
+    """The largest connected part of verts, with vertices removed until
+    every boundary dual vertex has exactly two incident boundary edges
+    (simple loops)."""
     for _ in range(64):
+        best: set[Coord] = set()
+        seen: set[Coord] = set()
+        for v0 in verts:
+            if v0 not in seen:
+                comp = bfs(v0, lambda v: neighbors_in(v, DIAG_STEPS, verts))
+                seen.update(comp)
+                if len(comp) > len(best):
+                    best = set(comp)
+        verts = best
         incid: dict[Coord, int] = {}
         owners: dict[Coord, set[Coord]] = {}
         for v in verts:
@@ -493,9 +593,8 @@ def _prune_pinches(verts: set[Coord]) -> set[Coord]:
                         owners.setdefault(u, set()).add(v)
         bad = sorted(u for u, k in incid.items() if k not in (0, 2))
         if not bad:
-            return _largest_component(verts)
+            return verts
         verts.discard(min(owners[bad[0]]))
-        verts = _largest_component(verts)
     raise ValueError("could not repair boundary into simple loops")
 
 
@@ -515,37 +614,8 @@ class DoubleCover:
     cut_dual: frozenset[Edge] = frozenset()
 
     def boundary_mod2(self, which: str) -> set[Coord]:
-        count: dict[Coord, int] = {}
         cut = self.cut_primal if which == "primal" else self.cut_dual
-        for e in cut:
-            for x in e:
-                count[x] = count.get(x, 0) + 1
-        return {x for x, k in count.items() if k % 2 == 1}
-
-
-def _reduce_mod2(points) -> set[Coord]:
-    out: set[Coord] = set()
-    for p in points:
-        out.symmetric_difference_update({tuple(p)})
-    return out
-
-
-def _bfs_path(start: Coord, goal, neighbors) -> list[Coord]:
-    """Deterministic BFS path from start to the first coord where goal(c)."""
-    prev: dict[Coord, Coord | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        if goal(c):
-            path = [c]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for w in neighbors(c):
-            if w not in prev:
-                prev[w] = c
-                queue.append(w)
-    raise ValueError("no path found")
+        return set(reduce_mod2(x for e in cut for x in e))
 
 
 def make_cover(domain: MeshDomain, points) -> DoubleCover:
@@ -554,8 +624,9 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
     Ramification points are paired greedily by graph distance (lexicographic
     tie-breaks); an odd dual leftover is routed across the outer boundary.
     """
-    prim = sorted(p for p in _reduce_mod2(points) if is_primal(p))
-    dual = sorted(p for p in _reduce_mod2(points) if is_dual(p))
+    odd = reduce_mod2(points)
+    prim = [p for p in odd if is_primal(p)]
+    dual = [p for p in odd if is_dual(p)]
     for p in prim:
         if p not in domain.vertices:
             raise ValueError(f"ramification vertex outside domain: {p}")
@@ -565,6 +636,12 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
     if len(prim) % 2 == 1:
         raise ValueError("odd number of primal ramification points")
 
+    def path_to(start, goal, neigh):
+        path = bfs_path(start, neigh, goal)
+        if path is None:
+            raise ValueError("no path found")
+        return path
+
     def pair_up(pts, neigh):
         cut: set[Edge] = set()
         todo = list(pts)
@@ -572,7 +649,7 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
             a = todo.pop(0)
             if not todo:
                 return cut, a
-            paths = [(_bfs_path(a, lambda c, b=b: c == b, neigh), b) for b in todo]
+            paths = [(path_to(a, lambda c, b=b: c == b, neigh), b) for b in todo]
             paths.sort(key=lambda pb: (len(pb[0]), pb[1]))
             path, b = paths[0]
             todo.remove(b)
@@ -582,19 +659,17 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
         return cut, None
 
     def primal_neigh(c):
-        return [w for s in DIAG_STEPS
-                for w in [(c[0] + s[0], c[1] + s[1])] if w in domain.vertices]
+        return neighbors_in(c, DIAG_STEPS, domain.vertices)
 
     def dual_neigh(c):
-        return [w for s in DIAG_STEPS
-                for w in [(c[0] + s[0], c[1] + s[1])] if w in domain.duals]
+        return neighbors_in(c, DIAG_STEPS, domain.duals)
 
     cut_p, _ = pair_up(prim, primal_neigh)
     cut_d, leftover = pair_up(dual, dual_neigh)
     if leftover is not None:
         # route the unpaired face across the outer boundary loop
         outer = set(domain.boundary_loops[0])
-        path = _bfs_path(leftover, lambda c: c in outer, dual_neigh)
+        path = path_to(leftover, lambda c: c in outer, dual_neigh)
         for i in range(len(path) - 1):
             cut_d.symmetric_difference_update({edge_key(path[i], path[i + 1])})
         u = path[-1]
@@ -641,6 +716,28 @@ def enclosure_parity(cycle_edges, vertex: Coord) -> int:
     return n % 2
 
 
+def run_labels(domain: MeshDomain, runs_per_loop, allowed, kind: str
+               ) -> dict[Edge, str]:
+    """Label of each boundary dual edge, from one list of (label, count)
+    runs per loop, consumed along the oriented loop from its canonical
+    start."""
+    if len(runs_per_loop) != len(domain.boundary_loops):
+        raise ValueError(f"need one {kind} spec per boundary loop")
+    out: dict[Edge, str] = {}
+    for loop, runs in zip(domain.boundary_loops, runs_per_loop):
+        covered = sum(n for _, n in runs)
+        if covered != len(loop):
+            raise ValueError(
+                f"{kind} spec covers {covered} edges, loop has {len(loop)}")
+        for label, _ in runs:
+            if label not in allowed:
+                raise ValueError(f"unknown {kind} label {label!r}")
+        labels = (label for label, n in runs for _ in range(n))
+        for oe, label in zip(domain.loop_edges(loop), labels):
+            out[edge_key(*oe)] = label
+    return out
+
+
 @dataclass
 class PMBoundarySpec:
     """plus/minus/free labels per boundary loop, as runs along each loop."""
@@ -648,21 +745,7 @@ class PMBoundarySpec:
     runs: list[list[tuple[str, int]]]  # one list of (label, count) per loop
 
     def edge_labels(self, domain: MeshDomain) -> dict[Edge, str]:
-        if len(self.runs) != len(domain.boundary_loops):
-            raise ValueError("need one run list per boundary loop")
-        out: dict[Edge, str] = {}
-        for loop, runs in zip(domain.boundary_loops, self.runs):
-            edges = domain.loop_edges(loop)
-            if sum(n for _, n in runs) != len(edges):
-                raise ValueError("pm spec does not cover the loop")
-            i = 0
-            for label, n in runs:
-                if label not in (PLUS, MINUS, FREE):
-                    raise ValueError(f"unknown pm label {label!r}")
-                for _ in range(n):
-                    out[edge_key(*edges[i])] = label
-                    i += 1
-        return out
+        return run_labels(domain, self.runs, (PLUS, MINUS, FREE), "pm")
 
     def separation_points(self, domain: MeshDomain) -> list[Coord]:
         """Dual vertices where the sign changes, counting free arcs as minus."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exact import BETA_CRIT
 from .lattice import (FREE, MINUS, PLUS, WIRED, MeshDomain,
-                      PMBoundarySpec, crossing_edge, edge_key)
+                      PMBoundarySpec, edge_key)
 
 
 class MonteCarloError(ValueError):
@@ -52,12 +52,10 @@ class CouplingGraph:
 
 def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
                 beta: float = BETA_CRIT) -> CouplingGraph:
-    labels = pm.edge_labels(domain) if pm is not None else {
-        edge_key(*oe): FREE
-        for loop in domain.boundary_loops for oe in domain.loop_edges(loop)}
-    verts = sorted(domain.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    n_interior = len(verts)
+    labels = (pm.edge_labels(domain) if pm is not None
+              else dict.fromkeys(domain.sides, FREE))
+    index = dict(domain.vertex_index)
+    n_interior = len(index)
 
     # classify boundary components
     comp_label: dict[int, str | None] = {}
@@ -85,20 +83,17 @@ def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
             next_site += 1
     n_free = next_site
 
+    # edges: the interior ones, then the non-free crossing ones, each in
+    # sorted order
     frozen_vals: dict[tuple, int] = {}
-    edges: list[tuple[int, int]] = []
-    for e in sorted(domain.interior_edges):
-        edges.append((index[e[0]], index[e[1]]))
-    for e in sorted(domain.crossing_edges):
-        de = crossing_edge(e)
+    crossing: list[tuple[int, int]] = []
+    for de, (vin, vout) in domain.sides.items():
         lab = labels[de]
         if lab == FREE:
             continue
-        vin = e[0] if e[0] in domain.vertices else e[1]
-        vout = e[1] if e[0] in domain.vertices else e[0]
         comp = dual_to_comp[de[0]]
         if comp in mega_site:
-            edges.append((index[vin], mega_site[comp]))
+            crossing.append((index[vin], mega_site[comp]))
         else:
             val = 1 if lab == PLUS else -1
             if frozen_vals.get(vout, val) != val:
@@ -107,30 +102,23 @@ def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
                 frozen_vals[vout] = val
                 index[vout] = next_site
                 next_site += 1
-            edges.append((index[vin], index[vout]))
+            crossing.append((index[vin], index[vout]))
+    edges = np.concatenate([domain.interior_pairs,
+                            np.array(crossing, dtype=np.int64).reshape(-1, 2)])
     n_sites = next_site
     sentinel = n_sites
 
-    nbr = np.full((n_interior, 4), sentinel, dtype=np.int64)
-    slot = np.zeros(n_interior, dtype=np.int64)
-    deg = np.zeros(n_sites, dtype=np.int64)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        for s in (a, b):
-            if s < n_interior:
-                o = b if s == a else a
-                nbr[s, slot[s]] = o
-                slot[s] += 1
+    # each site's edges in edge order: a stable sort of the endpoints
+    ends = edges.ravel()
+    order = np.argsort(ends, kind="stable")
+    other = edges[:, ::-1].ravel()[order]
+    deg = np.bincount(ends, minlength=n_sites)
     indptr = np.zeros(n_sites + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
-    other = np.zeros(indptr[-1], dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for a, b in edges:
-        other[fill[a]] = b
-        fill[a] += 1
-        other[fill[b]] = a
-        fill[b] += 1
+    # the padded table holds the interior sites' rows, at most 4 each
+    site = np.repeat(np.arange(n_interior), deg[:n_interior])
+    nbr = np.full((n_interior, 4), sentinel, dtype=np.int64)
+    nbr[site, np.arange(len(site)) - indptr[site]] = other[:len(site)]
 
     frozen = np.zeros(n_sites, dtype=bool)
     frozen[n_free:] = True
@@ -140,7 +128,7 @@ def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
     graph = CouplingGraph(n_free, n_interior, n_sites, nbr,
                           (indptr, other), frozen, fval, index, mega_value,
                           beta)
-    colors = np.array([(v[0] % 4) // 2 for v in verts], dtype=np.int64)
+    colors = (domain.vertex_xy[:, 0] % 4) // 2
     graph.color_groups = [np.where(colors == c)[0] for c in (0, 1)]
     return graph
 

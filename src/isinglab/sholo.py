@@ -20,21 +20,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import (
-    FREE, WIRED, CornerPoint, DoubleCover, MeshDomain, base_phase,
-    base_phases, corner_neighbors, crossing_edge, edge_key, phase_step_sign,
-    step_crossed_edge, transport_side, _ROOT8,
+    CORNER_STEPS, FREE, WIRED, CornerPoint, DoubleCover, MeshDomain,
+    base_phase, base_phases, bfs, bfs_path, codes, corner_neighbors,
+    edge_codes, edge_key, lookup, neighbors_in, phase_step_sign,
+    step_crossed_edge, transport_side,
 )
 
 _CYC = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+# exp(-i pi/4), the phase of the grid rotation z -> -i z: the base phase of
+# a corner whose dual vertex lies west of its primal one
+_ROT_CW_PHASE = base_phase((-1, 0))
 
 
 class SolveError(RuntimeError):
@@ -79,8 +81,7 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
     verts = domain.vertices
 
     def outer_corner(u, oriented_edge):
-        ce = crossing_edge(edge_key(*oriented_edge))
-        po = ce[0] if ce[0] not in verts else ce[1]
+        po = domain.sides[edge_key(*oriented_edge)][1]
         return ((po[0] + u[0]) // 2, (po[1] + u[1]) // 2)
 
     for loop in domain.boundary_loops:
@@ -106,8 +107,7 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
             if labs[i] != FREE:
                 continue
             u1, u2 = edges[i]
-            ce = crossing_edge(edge_key(u1, u2))
-            v = ce[0] if ce[0] in verts else ce[1]
+            v = domain.sides[edge_key(u1, u2)][0]
             c1 = ((v[0] + u1[0]) // 2, (v[1] + u1[1]) // 2)
             c2 = ((v[0] + u2[0]) // 2, (v[1] + u2[1]) // 2)
             rels.append((c1, c2, _path_sign([c1, c2], cover)))
@@ -116,9 +116,6 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
             len(arc) == len(loop) for loop in domain.boundary_loops)
         if whole_component:
             continue
-        arc_duals = set()
-        for a, b in arc:
-            arc_duals.update((a, b))
         za = zb = None
         for loop in domain.boundary_loops:
             edges = domain.loop_edges(loop)
@@ -129,31 +126,18 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
                     zb = outer_corner(arc[-1][1], edges[(i + 1) % len(edges)])
         if za is None or zb is None:
             continue
-        path = _outside_arc_path(domain, za, zb, arc_duals)
+        # the corner path hugging the arc: corners at its dual vertices
+        # whose primal vertex is outside the domain
+        outside = {(u[0] + s[0], u[1] + s[1])
+                   for oe in arc for u in oe for s in _CYC}
+        outside = {c for c in outside
+                   if corner_neighbors(c)[0] not in verts} | {zb}
+        path = bfs_path(za, lambda c: neighbors_in(c, CORNER_STEPS, outside),
+                        lambda c: c == zb)
+        if path is None:
+            raise SolveError("no outside path along the free arc")
         rels.append((za, zb, _path_sign(path, cover)))
     return rels
-
-
-def _outside_arc_path(domain, za, zb, arc_duals):
-    def allowed(c):
-        p, d = corner_neighbors(c)
-        return p not in domain.vertices and d in arc_duals
-
-    prev = {za: None}
-    queue = deque([za])
-    while queue:
-        c = queue.popleft()
-        if c == zb:
-            path = [c]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for dd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            w = (c[0] + dd[0], c[1] + dd[1])
-            if w not in prev and (w == zb or allowed(w)):
-                prev[w] = c
-                queue.append(w)
-    raise SolveError("no outside path along the free arc")
 
 
 def stencil_signs(domain: MeshDomain, cover: DoubleCover, e):
@@ -248,52 +232,19 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
                        res / max(nb, 1e-300), A.shape)
 
 
-def _sorted_array(items, shape: tuple) -> np.ndarray:
-    """A set of coordinate tuples (or of pairs of them) as an integer array
-    with rows of the given shape, in the order of sorted(items)."""
-    flat = chain.from_iterable(items)
-    if len(shape) == 2:
-        flat = chain.from_iterable(flat)
-    arr = np.fromiter(flat, np.int64, len(items) * math.prod(shape))
-    rows = arr.reshape(len(items), -1)
-    return arr.reshape(-1, *shape)[np.lexsort(rows.T[::-1])]
-
-
-# Grid points are coded as one integer each, increasing in lexicographic
-# order, for coordinates within +-_OFFSET.
-_OFFSET = 1 << 20
-_SPAN = 1 << 21
 # Stencil corners N, E, S, W around an edge midpoint, with the signs of the
 # four-corner relation.
 _STENCIL = np.array([(0, 1), (1, 0), (0, -1), (-1, 0)])
 _STENCIL_PM = np.array([1, -1, 1, -1])
 
 
-def _codes(xy: np.ndarray) -> np.ndarray:
-    """One integer per grid point of xy (shape (..., 2))."""
-    return (xy[..., 0] + _OFFSET) * _SPAN + (xy[..., 1] + _OFFSET)
-
-
-def _edge_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One integer per diagonal grid edge a-b: its midpoint and whether it
-    rises to the right."""
-    rising = (b[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]) > 0
-    return 2 * _codes((a + b) // 2) + rising
-
-
 def _crossed_edge_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """_edge_codes of lattice.step_crossed_edge for arrays of corner steps."""
+    """edge_codes of lattice.step_crossed_edge for arrays of corner steps."""
     w = c1.copy()
     turn_at_b = c1[..., 0] % 2 == 1
     w[turn_at_b, 0] = c2[turn_at_b, 0]
     w[~turn_at_b, 1] = c2[~turn_at_b, 1]
-    return _edge_codes(w, w + 2 * (c1 + c2 - 2 * w))
-
-
-def _lookup(keys: np.ndarray, codes: np.ndarray):
-    """Positions of codes in the sorted keys, and which of them are there."""
-    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-    return pos, keys[pos] == codes
+    return edge_codes(w, w + 2 * (c1 + c2 - 2 * w))
 
 
 def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
@@ -305,20 +256,19 @@ def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
     part of the four-corner relation, skipping zero rows; then one row per
     boundary pair.  The source's split value moves to the right-hand side.
     """
-    corners = _sorted_array(domain.corners - {src}, (2,))
-    if np.abs(corners).max() > _OFFSET // 2:
-        raise SolveError("domain too far from the origin")
-    keys = _codes(corners)
-    mids = _sorted_array(domain.shol_edges, (2, 2)).sum(axis=1) // 2
+    keys = codes(domain.corner_xy)
+    kept = keys != codes(np.array(src))
+    corners, keys = domain.corner_xy[kept], keys[kept]
+    mids = domain.shol_edge_xy.sum(axis=1) // 2
     quad = mids[:, None, :] + _STENCIL          # (edges, 4, 2): N, E, S, W
     cut = np.array(list(cover.cut_primal | cover.cut_dual),
                    dtype=np.int64).reshape(-1, 2, 2)
     flips = np.isin(_crossed_edge_codes(quad[:, :3], quad[:, 1:]),
-                    _edge_codes(cut[:, 0], cut[:, 1]))
+                    edge_codes(cut[:, 0], cut[:, 1]))
     steps = np.where(flips, -1, 1)
     sheet = np.cumprod(np.hstack([np.ones_like(steps[:, :1]), steps]), axis=1)
     coef = (_STENCIL_PM * sheet) * base_phases(quad)
-    cols, found = _lookup(keys, _codes(quad))
+    cols, found = lookup(keys, codes(quad))
     rhs = np.zeros(len(quad), dtype=complex)
     for i, j in zip(*np.nonzero(~found)):
         if tuple(quad[i, j]) != src:
@@ -340,7 +290,7 @@ def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
     pairs = boundary_pairs(domain, cover)
     if pairs:
         ends = np.array([(c1, c2) for c1, c2, _ in pairs])
-        pos, found = _lookup(keys, _codes(ends))
+        pos, found = lookup(keys, codes(ends))
         if not found.all():
             raise SolveError("a boundary relation meets the source corner")
         first = len(b[0]) + np.arange(len(pairs))
@@ -483,7 +433,7 @@ def discrete_P(a, z, delta: float = 1.0) -> complex:
     if a == z:
         raise ValueError("P is split at its base corner; use discrete_P_split")
     if a[0] % 2 == 1:
-        return _ROOT8[7] * discrete_P(_rot_cw(a), _rot_cw(z), delta)
+        return _ROT_CW_PHASE * discrete_P(_rot_cw(a), _rot_cw(z), delta)
     if z[0] % 2 == 1:
         return _p_diamond(a, z) / delta
     mids = [(z[0] + 1, z[1]), (z[0] - 1, z[1])]
@@ -499,7 +449,7 @@ def discrete_P_split(a, delta: float = 1.0):
     a = tuple(a)
     if a[0] % 2 == 1:
         plus, minus = discrete_P_split(_rot_cw(a), delta)
-        return _ROOT8[7] * plus, _ROOT8[7] * minus
+        return _ROT_CW_PHASE * plus, _ROT_CW_PHASE * minus
     out = {}
     for m in ((a[0] + 1, a[1]), (a[0] - 1, a[1])):
         c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
@@ -523,7 +473,7 @@ def _q_diamond(z) -> complex:
         return _exp_ratio_vec(zeta, dx, dy) / (1 - zeta / 2)
 
     integral = 2.0 * root_dir * _ray_quadrature(f)
-    val = _ROOT8[7] * integral / (math.sqrt(2.0) * math.pi)
+    val = _ROT_CW_PHASE * integral / (math.sqrt(2.0) * math.pi)
     # the principal branch of the ray rotation puts the section jump along
     # the east ray; move it to the south ray
     if z[0] > 0 and z[1] < 0:
@@ -581,26 +531,24 @@ def integrate_H(f1: SpinorField, f2: SpinorField | None = None):
         p, d = corner_neighbors(c)
         return dom.position(d) - dom.position(p)
 
-    values: dict = {}
+    def across(g):
+        # (corner, vertex across it) for each corner at the vertex g
+        return [(c, (2 * c[0] - g[0], 2 * c[1] - g[1]))
+                for c in neighbors_in(g, _CYC, dom.corners)]
+
     start = min(dom.vertices)
-    values[start] = 0.0
-    queue = deque([start])
+    values = {start: 0.0}
     jump = 0.0
-    while queue:
-        g = queue.popleft()
-        for sdir in _CYC:
-            c = (g[0] + sdir[0], g[1] + sdir[1])
-            if c not in dom.corners:
-                continue
-            p, d = corner_neighbors(c)
+    # visited in breadth-first order; a vertex takes its value from the
+    # first step that reaches it, and every later step is checked against it
+    for g in bfs(start, lambda g: [w for _, w in across(g)]):
+        for c, other in across(g):
             inc = (-2j * product(c) * dstep(c)).real
-            other = d if g == p else p
-            hval = values[g] + (inc if g == p else -inc)
+            hval = values[g] + (inc if corner_neighbors(c)[0] == g else -inc)
             if other in values:
                 jump = max(jump, abs(values[other] - hval))
             else:
                 values[other] = hval
-                queue.append(other)
     closed = 0.0
     for e in sorted(dom.shol_edges):
         n, east, s, west, _, _ = dom.stencil(e)
@@ -631,8 +579,7 @@ def boundary_H_spread(field: SpinorField, hvalues: dict):
             de = edge_key(*oe)
             if dom.edge_label[de] != WIRED:
                 continue
-            ce = crossing_edge(de)
-            po = ce[0] if ce[0] not in dom.vertices else ce[1]
+            po = dom.sides[de][1]
             if po in hvalues:
                 vals.append(hvalues[po])
         if vals:
@@ -699,18 +646,13 @@ def cauchy_recover(field: SpinorField, v, u, radius: int = 4) -> complex:
     # neighbourhood of the split corner.
     root = (z[0] + 1, z[1] + 1)
     ball = {(z[0] + a, z[1] + b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    ball.discard(root)
     signs = {root: 1}
-    queue = deque([root])
-    while queue:
-        c = queue.popleft()
-        for dd in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            w = (c[0] + dd[0], c[1] + dd[1])
-            if w in ball and w != root:
-                continue
-            if w not in field.values or w in signs:
-                continue
+    parents = bfs(root, lambda c: [w for w in neighbors_in(
+        c, CORNER_STEPS, field.values) if w not in ball])
+    for w, c in parents.items():
+        if c is not None:
             signs[w] = signs[c] * _section_flip(c, w, field.cover, u)
-            queue.append(w)
 
     total = 0j
     for c, g1, g2 in segs:

@@ -11,9 +11,10 @@ from conftest import bulk_corners, square
 from isinglab import exact
 from isinglab.exact import (Enumeration, EnumerationError, fermion_field,
                             fermion_multipoint, partition_function)
-from isinglab.lattice import (FREE, WIRED, MeshDomain, PMBoundarySpec,
-                              build_annulus, build_rectangle, edge_key,
-                              inner_corner, make_cover)
+from isinglab.lattice import (CORNER_STEPS, FREE, WIRED, MeshDomain,
+                              PMBoundarySpec, bfs_path, build_annulus,
+                              build_rectangle, edge_key, inner_corner,
+                              make_cover, neighbors_in)
 from isinglab.pfaffian import assemble_multipoint
 from isinglab.sholo import solve_observable
 
@@ -75,7 +76,8 @@ def _dual_cut(dom, rng):
     corners = bulk_corners(dom)
     a, b = rng.sample(corners, 2)
     st = exact._Transport(make_cover(dom, []))
-    path = exact._corner_bfs_path(dom.corners, a, b)
+    path = bfs_path(a, lambda c: neighbors_in(c, CORNER_STEPS, dom.corners),
+                    lambda c: c == b)
     for c1, c2 in zip(path, path[1:]):
         st.step(c1, c2)
     assert st.gamma

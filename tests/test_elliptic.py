@@ -85,6 +85,14 @@ def test_jacobi_residue_and_oddness():
         jacobi("sn", z, p)
 
 
+@pytest.mark.parametrize("p", [0.0, -0.5, -3.0])
+def test_nonpositive_modulus_rejected(p):
+    with pytest.raises(EllipticError):
+        jacobi("ns", 0.3 + 0.2j, p)
+    with pytest.raises(EllipticError):
+        EllipticModulus.from_modulus(p)
+
+
 def test_modulus_self_consistency():
     for p in (math.log(2), 0.9, 2.5, 5.0):
         m = EllipticModulus.from_modulus(p)

@@ -10,9 +10,9 @@ from isinglab.exact import (
     fermion_field, fermion_multipoint, obs_fermion, partition_function,
 )
 from isinglab.lattice import (
-    CornerPoint, MeshDomain, PMBoundarySpec, base_phase, build_rectangle,
-    corner_phase, edge_key, inner_corner, make_cover, transport_side, FREE,
-    WIRED,
+    DIAG_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, base_phase,
+    bfs_path, build_rectangle, corner_phase, edge_key, inner_corner,
+    make_cover, neighbors_in, transport_side, FREE, WIRED,
 )
 from isinglab.sholo import boundary_pairs, stencil_signs
 
@@ -130,7 +130,7 @@ def test_energy_square_identity():
 def test_energy_rejects_free_arc_edges():
     dom = build_rectangle(1.0, 3, 3, [(FREE, 3), (WIRED, 9)])
     bad = next(e for e in dom.crossing_edges
-               if e not in dom.energy_edges)
+               if e not in dom.shol_edges)
     with pytest.raises(EnumerationError):
         corr_energy(dom, [bad])
 
@@ -245,8 +245,8 @@ def test_disorder_pair_placement_independence():
 
 
 def _dual_path(dom, a, b):
-    from isinglab.exact import _dual_bfs_path
-    path = _dual_bfs_path(dom, a, b)
+    path = bfs_path(a, lambda c: neighbors_in(c, DIAG_STEPS, dom.duals),
+                    lambda c: c == b)
     return [edge_key(x, y) for x, y in zip(path, path[1:])]
 
 

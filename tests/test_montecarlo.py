@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from isinglab.exact import BETA_CRIT, corr_spin
-from isinglab.lattice import (MeshDomain, PMBoundarySpec, build_annulus,
-                              build_rectangle)
+from isinglab.lattice import (FREE, MeshDomain, PMBoundarySpec,
+                              build_annulus, build_rectangle, crossing_edge,
+                              edge_key)
 from isinglab.montecarlo import (
     MCState, MonteCarloError, build_graph, estimate, estimates,
     integrated_autocorrelation, metropolis_sweep, wolff_update,
@@ -118,6 +119,60 @@ def test_estimates_equal_estimate_on_a_dobrushin_square():
                                        ("spin_product", [vv[5], vv[10]])],
                              125, 1000, 7, n_bins=40)
     assert ests[0].rejection_rate > 0.5      # frozen-site rejections
+
+
+def _reference_graph(dom, pm):
+    """Site numbering, CSR and padded neighbour table of the coupling
+    graph, built one edge at a time: the interior edges, then the non-free
+    crossing edges, each in sorted order."""
+    labels = pm.edge_labels(dom)
+    verts = sorted(dom.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    comp_of, mega = {}, {}
+    for k, loop in enumerate(dom.boundary_loops):
+        labs = {labels[edge_key(*oe)] for oe in dom.loop_edges(loop)} - {FREE}
+        comp_of.update(dict.fromkeys(loop, k))
+        if len(labs) == 1:
+            mega[k] = len(verts) + len(mega)
+    next_site = len(verts) + len(mega)
+    edges = [(index[a], index[b]) for a, b in sorted(dom.interior_edges)]
+    for e in sorted(dom.crossing_edges):
+        de = crossing_edge(e)
+        if labels[de] == FREE:
+            continue
+        vin, vout = e if e[0] in dom.vertices else e[::-1]
+        if comp_of[de[0]] in mega:
+            edges.append((index[vin], mega[comp_of[de[0]]]))
+            continue
+        if vout not in index:
+            index[vout] = next_site
+            next_site += 1
+        edges.append((index[vin], index[vout]))
+    rows = [[] for _ in range(next_site)]
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
+    nbr = [row + [next_site] * (4 - len(row)) for row in rows[:len(verts)]]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return index, indptr, [w for row in rows for w in row], nbr
+
+
+@pytest.mark.parametrize("case", ["annulus", "dobrushin"])
+def test_graph_matches_a_per_edge_construction(case):
+    if case == "annulus":           # one pinned mega-site
+        dom, pm = _annulus("free", "plus")
+    else:                           # frozen sites
+        dom = build_rectangle(1.0, 6, 5)
+        pm = PMBoundarySpec([[("minus", 5), ("plus", 9), ("free", 2),
+                              ("minus", 6)]])
+    g = build_graph(dom, pm)
+    index, indptr, other, nbr = _reference_graph(dom, pm)
+    assert g.index_of == index
+    assert g.edge_csr[0].tolist() == indptr.tolist()
+    assert g.edge_csr[1].tolist() == other
+    assert g.neighbors.tolist() == nbr
+    assert g.n_sites == len(indptr) - 1
+    assert (g.n_free < g.n_sites) == (case == "dobrushin")
 
 
 def _reference_series(dom, pm, observable, n_therm, n_samples, seed):
