@@ -93,7 +93,7 @@ class Enumeration:
             v: _Expr(1, i) for v, i in self.vert_index.items()}
         nbits = self._assign_outer(pm)
         self.n_free = len(verts) + nbits
-        self._build_edges()
+        self._build_edges(verts)
         self._reduce_energy()
         self._plan(verts)
 
@@ -163,9 +163,8 @@ class Enumeration:
 
     # -- energy ----------------------------------------------------------
 
-    def _build_edges(self):
+    def _build_edges(self, verts):
         dom = self.domain
-        verts = list(self.vert_index)
         # interior edges join two vertex variables
         self.edge_terms: dict[tuple, tuple[int, int | None, int | None]] = {
             (verts[i], verts[j]): (1, i, j)
