@@ -173,7 +173,8 @@ class Enumeration:
             if self.active_label[de] == FREE:
                 continue
             a, b = self.exprs[vin], self.exprs[vout]
-            self.edge_terms[edge_key(vin, vout)] = (a.coef * b.coef, a.var, b.var)
+            self.edge_terms[edge_key(vin, vout)] = (a.coef * b.coef, a.var,
+                                                    b.var)
 
     def _reduce_energy(self):
         """Energy as const + sum_v h_v s_v + sum_(a,b) J_ab s_a s_b; parallel

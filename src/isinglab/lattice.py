@@ -320,7 +320,8 @@ class MeshDomain:
                          2 * n).reshape(n, 2)
         bad = (xy @ _PRIMAL_TEST % 4).any(axis=1)
         if bad.any():
-            raise ValueError(f"not a primal vertex: {tuple(xy[bad][0].tolist())}")
+            raise ValueError(
+                f"not a primal vertex: {tuple(xy[bad][0].tolist())}")
         if np.abs(xy).max() > _REACH:
             raise ValueError(f"vertex beyond +-{_REACH} grid units")
         keys = codes(xy)
@@ -378,7 +379,7 @@ class MeshDomain:
             raise ValueError("need one arc spec per boundary loop")
         runs = [[(spec, len(loop))] if isinstance(spec, str) else spec
                 for loop, spec in zip(self.boundary_loops, arc_specs)]
-        self.edge_label = run_labels(self, runs, (WIRED, FREE), "arc")
+        self.edge_label = _run_labels(self, runs, (WIRED, FREE), "arc")
 
     # -- derived geometry, built on first use ------------------------------
 
@@ -649,7 +650,8 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
             a = todo.pop(0)
             if not todo:
                 return cut, a
-            paths = [(path_to(a, lambda c, b=b: c == b, neigh), b) for b in todo]
+            paths = [(path_to(a, lambda c, b=b: c == b, neigh), b)
+                     for b in todo]
             paths.sort(key=lambda pb: (len(pb[0]), pb[1]))
             path, b = paths[0]
             todo.remove(b)
@@ -716,8 +718,8 @@ def enclosure_parity(cycle_edges, vertex: Coord) -> int:
     return n % 2
 
 
-def run_labels(domain: MeshDomain, runs_per_loop, allowed, kind: str
-               ) -> dict[Edge, str]:
+def _run_labels(domain: MeshDomain, runs_per_loop, allowed,
+                kind: str) -> dict[Edge, str]:
     """Label of each boundary dual edge, from one list of (label, count)
     runs per loop, consumed along the oriented loop from its canonical
     start."""
@@ -745,7 +747,7 @@ class PMBoundarySpec:
     runs: list[list[tuple[str, int]]]  # one list of (label, count) per loop
 
     def edge_labels(self, domain: MeshDomain) -> dict[Edge, str]:
-        return run_labels(domain, self.runs, (PLUS, MINUS, FREE), "pm")
+        return _run_labels(domain, self.runs, (PLUS, MINUS, FREE), "pm")
 
     def separation_points(self, domain: MeshDomain) -> list[Coord]:
         """Dual vertices where the sign changes, counting free arcs as minus."""
