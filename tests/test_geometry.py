@@ -140,6 +140,18 @@ def test_json_round_trip_matches_the_reference():
     assert back.to_json() == dom.to_json()
 
 
+@pytest.mark.parametrize("verts,message", [
+    ({(0, 0), (2, 0)}, r"not a primal vertex: \(2, 0\)"),
+    ({(0, 0), (1, 1)}, r"not a primal vertex: \(1, 1\)"),
+    ({(0, 0), (1 << 20, 0)}, "beyond"),
+    ({(0, 0), (0, -(1 << 20))}, "beyond"),
+])
+def test_vertices_off_the_grid_or_out_of_code_range_are_refused(verts,
+                                                                message):
+    with pytest.raises(ValueError, match=message):
+        MeshDomain(1.0, verts)
+
+
 # -- the graph search ------------------------------------------------------
 
 
