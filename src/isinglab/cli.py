@@ -31,7 +31,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(path, header, rows, fmt, stamp=True):
+def _emit(path, header, rows, fmt):
     out = sys.stdout if path in (None, "-") else open(path, "w")
     try:
         if fmt == "json":
@@ -39,8 +39,7 @@ def _emit(path, header, rows, fmt, stamp=True):
                       out, indent=1)
             out.write("\n")
         else:
-            if stamp:
-                out.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
+            out.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
             out.write(",".join(header) + "\n")
             for row in rows:
                 out.write(",".join(_fmt(x) for x in row) + "\n")
@@ -98,8 +97,8 @@ def cmd_exact_check(cfg) -> int:
     L = len(dom.loop_edges(dom.boundary_loops[0]))
     pm = lattice.PMBoundarySpec([[("plus", L - L // 3), ("minus", L // 3)]])
     v0 = sorted(dom.vertices)[len(dom.vertices) // 2]
-    direct = exact._pm_direct(dom, pm, [v0], (), exact.BETA_CRIT)
-    mono = exact._pm_via_mono(dom, pm, [v0], (), exact.BETA_CRIT)
+    direct = exact._pm_direct(dom, pm, [v0], ())
+    mono = exact._pm_via_mono(dom, pm, [v0], ())
     rows.append(("pm_two_routes", abs(direct - mono), 1e-10))
     ok = all(val <= tol for _, val, tol in rows)
     _emit(cfg.get("out"), ["check", "max_residual", "tolerance"],

@@ -183,30 +183,27 @@ def hp_spin(bc: HalfPlaneBC, spins) -> float:
     return pref * math.sqrt(radicand)
 
 
-def hp_spin_disorder(bc: HalfPlaneBC, spins, disorders, with_record=False):
+def hp_spin_disorder(bc: HalfPlaneBC, spins, disorders):
     """Mixed spin-disorder correlation in the half-plane.
 
     The square root is taken of the sign-weighted sum with its leading
-    minus; the returned record carries the radicand pieces.
+    minus.
     """
     spins = [complex(v) for v in spins]
     disorders = [complex(u) for u in disorders]
     n, m = len(spins), len(disorders)
     if m == 0:
-        val = hp_spin(bc, spins)
-        return (val, {"radicand": None}) if with_record else val
+        return hp_spin(bc, spins)
     pairs = hp_pairs(bc, spins, disorders)
     logs = _chi_logs(pairs, bc.q)
     q = bc.q
     num = _sign_sum(logs, signed_tail=m)
     den = _sign_sum(logs[:q, :q])
     radicand = -(K_SPIN ** (n + m)) * num / den
-    record = {"radicand": radicand, "num": num, "den": den}
     if radicand < 0:
         raise ContinuumError("negative radicand: branch misconfiguration")
     pref = math.prod((w.imag) ** -SPIN_WEIGHT for w in spins + disorders)
-    val = pref * math.sqrt(radicand)
-    return (val, record) if with_record else val
+    return pref * math.sqrt(radicand)
 
 
 # -- half-plane fermion kernels -------------------------------------------------
@@ -583,8 +580,7 @@ class FusionFit:
 
 
 def fusion_extract(evaluator, separations, exponent: float | None = None,
-                   leading: complex | None = None, ratio: float | None = None
-                   ) -> FusionFit:
+                   leading: complex | None = None) -> FusionFit:
     """Leading exponent and first correction coefficient of evaluator(h).
 
     evaluator(h) ~ h^alpha (c0 + c1 h + o(h)) along the decreasing ladder of
@@ -595,11 +591,9 @@ def fusion_extract(evaluator, separations, exponent: float | None = None,
     h = np.asarray([float(x) for x in separations])
     if np.any(np.diff(h) >= 0):
         raise ContinuumError("separations must decrease")
-    if ratio is None:
-        r = h[1] / h[0]
-        if not np.allclose(np.diff(np.log(h)), math.log(r), rtol=1e-8):
-            raise ContinuumError("separations must be geometric")
-        ratio = r
+    ratio = h[1] / h[0]
+    if not np.allclose(np.diff(np.log(h)), math.log(ratio), rtol=1e-8):
+        raise ContinuumError("separations must be geometric")
     vals = np.asarray([complex(evaluator(x)) for x in h])
     mags = np.abs(vals)
     slopes = np.diff(np.log(mags)) / np.diff(np.log(h))

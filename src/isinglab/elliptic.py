@@ -24,9 +24,9 @@ class EllipticError(ValueError):
 # -- theta functions ----------------------------------------------------------
 
 
-def theta(j: int, z: complex, q: complex, tol: float = 1e-16) -> complex:
+def theta(j: int, z: complex, q: complex) -> complex:
     """Jacobi theta_j(z, q), j in 1..4, truncated when terms fall below
-    tol relative to the running partial sum."""
+    1e-16 relative to the running partial sum."""
     if abs(q) >= 1:
         raise EllipticError("nome must satisfy |q| < 1")
     z = complex(z)
@@ -37,7 +37,7 @@ def theta(j: int, z: complex, q: complex, tol: float = 1e-16) -> complex:
             trig = cmath.sin((2 * n + 1) * z) if j == 1 else cmath.cos((2 * n + 1) * z)
             term = 2 * qq * trig * ((-1) ** n if j == 1 else 1)
             total += term
-            if n > 2 and abs(term) < tol * max(1.0, abs(total)):
+            if n > 2 and abs(term) < 1e-16 * max(1.0, abs(total)):
                 return total
         raise EllipticError("theta series did not converge")
     if j in (3, 4):
@@ -47,7 +47,7 @@ def theta(j: int, z: complex, q: complex, tol: float = 1e-16) -> complex:
             if j == 4:
                 term *= (-1) ** n
             total += term
-            if n > 2 and abs(term) < tol * max(1.0, abs(total)):
+            if n > 2 and abs(term) < 1e-16 * max(1.0, abs(total)):
                 return total
         raise EllipticError("theta series did not converge")
     raise EllipticError("theta index must be 1..4")
@@ -229,7 +229,7 @@ class RectangleMap:
     def _dF(self, t: np.ndarray) -> np.ndarray:
         return 1.0 / np.sqrt((1 - t * t) * (1 - (self.k * t) ** 2))
 
-    def to_rect(self, z: complex, tol: float = 1e-13) -> complex:
+    def to_rect(self, z: complex) -> complex:
         """Map a half-plane point into the rectangle.
 
         The integration path detours through the upper half-plane to stay
@@ -245,7 +245,7 @@ class RectangleMap:
             for a, b in segments:
                 t = a + (x + 1) / 2 * (b - a)
                 val += complex(np.sum(w * self._dF(t)) * (b - a) / 2)
-            if prev is not None and abs(val - prev) < tol * max(1.0, abs(val)):
+            if prev is not None and abs(val - prev) < 1e-13 * max(1.0, abs(val)):
                 break
             prev = val
         return (val + self.K) / (2 * self.K)

@@ -1,17 +1,18 @@
 """Exact sums for the critical Ising model on small domains.
 
 Partition functions and correlations (spin, disorder, energy, fermionic,
-plus/minus boundary conditions) are computed exactly by contracting the
-Boltzmann weight one variable at a time over a moving frontier, as in the
-row transfer matrix.  Complement components with wired (unpinned) boundary
-get one extra binary variable each, which joins the frontier first; free
-arcs are excluded from the energy.  A sum costs O(V * 2^w) for a frontier
-of w variables, so the cost limits the domain's width (MAX_FRONTIER
-variables), not its number of spins.  The sums are plain Boltzmann weights
-in float64, which sets a second limit on the number of spins: at beta_c,
-ln Z grows by about 1 per spin (0.93 in the bulk, more next to a wired
-arc) and float64 ends at ln Z = 709, so a wired block of more than about
-700 free spins overflows.  Both limits raise EnumerationError.
+plus/minus boundary conditions) are computed exactly, at the critical
+coupling BETA_CRIT, by contracting the Boltzmann weight one variable at a
+time over a moving frontier, as in the row transfer matrix.  Complement
+components with wired (unpinned) boundary get one extra binary variable
+each, which joins the frontier first; free arcs are excluded from the
+energy.  A sum costs O(V * 2^w) for a frontier of w variables, so the cost
+limits the domain's width (MAX_FRONTIER variables), not its number of
+spins.  The sums are plain Boltzmann weights in float64, which sets a
+second limit on the number of spins: ln Z grows by about 1 per spin (0.93
+in the bulk, more next to a wired arc) and float64 ends at ln Z = 709, so
+a wired block of more than about 700 free spins overflows.  Both limits
+raise EnumerationError.
 
 Serves as the ground-truth oracle for the solver and Monte Carlo modules.
 """
@@ -83,9 +84,8 @@ class Enumeration:
     """
 
     def __init__(self, domain: MeshDomain, mode: str = "standard",
-                 pm: PMBoundarySpec | None = None, beta: float = BETA_CRIT):
+                 pm: PMBoundarySpec | None = None):
         self.domain = domain
-        self.beta = beta
         self.mode = mode
         self.vert_index = domain.vertex_index
         verts = list(self.vert_index)
@@ -266,31 +266,20 @@ class Enumeration:
         """(coef, variables) with obs = coef * prod of those variables."""
         coef = 1
         odd: set = set()
-        if isinstance(obs, tuple) and len(obs) == 2 and obs[0] == "edges":
-            for e in obs[1]:
-                t = self.edge_terms.get(edge_key(*e))
-                if t is None:
-                    raise EnumerationError(f"edge {e} not in the energy")
-                coef *= t[0]
-                odd.symmetric_difference_update(
-                    v for v in t[1:] if v is not None)
-        else:
-            for s in obs:
-                ex = self.exprs.get(tuple(s))
-                if ex is None:
-                    raise EnumerationError(
-                        f"no spin value at {s} (free boundary?)")
-                coef *= ex.coef
-                if ex.var is not None:
-                    odd.symmetric_difference_update({ex.var})
+        for s in obs:
+            ex = self.exprs.get(tuple(s))
+            if ex is None:
+                raise EnumerationError(
+                    f"no spin value at {s} (free boundary?)")
+            coef *= ex.coef
+            if ex.var is not None:
+                odd.symmetric_difference_update({ex.var})
         return coef, sorted(odd)
 
     def sums(self, observables, gamma=()) -> list[float]:
         """[sum_config mu_gamma(config) * w(config) * prod_{S} sigma] per S.
 
-        observables: list of spin collections (each reduced mod 2 first);
-        an entry may also be ("edges", [primal edges]) whose value is the
-        product of sigma*sigma over those edges.
+        observables: list of spin collections (each reduced mod 2 first).
         """
         n = len(observables)
         coefs = np.ones(n)
@@ -303,17 +292,16 @@ class Enumeration:
         const = self._const + self._fold(self.gamma_terms(gamma), -2,
                                          couplings, fields)
         with np.errstate(over="ignore", invalid="ignore"):
-            pair_f = np.exp(self.beta * couplings[:, None, None] * _PAIR_SIGNS)
-            field_f = np.exp(self.beta * fields[:, None] * _FIELD_SIGNS)
+            pair_f = np.exp(BETA_CRIT * couplings[:, None, None] * _PAIR_SIGNS)
+            field_f = np.exp(BETA_CRIT * fields[:, None] * _FIELD_SIGNS)
             batch = max(1, _TABLE_ENTRIES >> self.frontier_width)
             out = np.zeros(n)
             for lo in range(0, n, batch):
                 out[lo:lo + batch] = self._contract(pair_f, field_f,
                                                     signs[lo:lo + batch])
-            out *= coefs * np.exp(self.beta * const)
+            out *= coefs * np.exp(BETA_CRIT * const)
         if not np.all(np.isfinite(out)):
-            raise EnumerationError(
-                f"non-finite configuration sum at beta={self.beta}")
+            raise EnumerationError("non-finite configuration sum")
         return out.tolist()
 
     def _contract(self, pair_f, field_f, signs) -> np.ndarray:
@@ -347,63 +335,59 @@ def result_record(query: str, value, z: float | None = None,
                        "seedless": True}, sort_keys=True)
 
 
-def partition_function(domain: MeshDomain, pm: PMBoundarySpec | None = None,
-                       beta: float = BETA_CRIT) -> float:
+def partition_function(domain: MeshDomain,
+                       pm: PMBoundarySpec | None = None) -> float:
     mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm, beta)
+    en = Enumeration(domain, mode, pm)
     (z,) = en.sums([()])
     return z
 
 
-def corr_spin(domain: MeshDomain, vertices, pm: PMBoundarySpec | None = None,
-              beta: float = BETA_CRIT) -> float:
+def corr_spin(domain: MeshDomain, vertices,
+              pm: PMBoundarySpec | None = None) -> float:
     """E[sigma_v1 ... sigma_vn]; exactly zero for odd counts under the
     flip-symmetric standard boundary conditions."""
     spins = reduce_mod2(vertices)
     if pm is None and len(spins) % 2 == 1:
         return 0.0
     mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm, beta)
+    en = Enumeration(domain, mode, pm)
     num, z = en.sums([spins, ()])
     return num / z
 
 
 def corr_disorder_spin(domain: MeshDomain, gamma, vertices=(),
-                       pm: PMBoundarySpec | None = None,
-                       normalized: bool = True, beta: float = BETA_CRIT) -> float:
+                       pm: PMBoundarySpec | None = None) -> float:
     """E[mu_gamma sigma_v1 ... sigma_vn] for an explicit dual-edge cut."""
     spins = reduce_mod2(vertices)
     mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm, beta)
+    en = Enumeration(domain, mode, pm)
     (num,) = en.sums([spins], gamma=gamma)
-    if not normalized:
-        return num
     (z,) = en.sums([()])
     return num / z
 
 
 def corr_energy(domain: MeshDomain, edges, spins=(),
-                pm: PMBoundarySpec | None = None,
-                beta: float = BETA_CRIT) -> float:
+                pm: PMBoundarySpec | None = None) -> float:
     """E[eps_e1 ... eps_es sigma_v...] with eps = sqrt2 (sigma sigma - 1/sqrt2).
 
     Repeated edges expand via eps^2 = 3 - 2 sqrt2 sigma sigma.
     """
     mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm, beta)
+    en = Enumeration(domain, mode, pm)
     return _pm_content_value(en, spins, edges)
 
 
 def corr_pm(domain: MeshDomain, pm: PMBoundarySpec, spins=(), energy_edges=(),
-            beta: float = BETA_CRIT, check_tol: float | None = 1e-10) -> float:
+            check_tol: float | None = 1e-10) -> float:
     """Correlation under plus/minus/free boundary conditions.
 
     Computed directly with pinned boundary spins, and again through the
     locally monochromatic ensemble expanded over products of one marked
     boundary spin per component; the two routes must agree.
     """
-    direct = _pm_direct(domain, pm, spins, energy_edges, beta)
-    via_mono = _pm_via_mono(domain, pm, spins, energy_edges, beta)
+    direct = _pm_direct(domain, pm, spins, energy_edges)
+    via_mono = _pm_via_mono(domain, pm, spins, energy_edges)
     if check_tol is not None:
         scale = max(1.0, abs(direct))
         if abs(direct - via_mono) > check_tol * scale:
@@ -449,15 +433,15 @@ def _pm_content_value(en: Enumeration, spins, energy_edges) -> float:
     return total / z
 
 
-def _pm_direct(domain, pm, spins, energy_edges, beta) -> float:
-    en = Enumeration(domain, "pinned", pm, beta)
+def _pm_direct(domain, pm, spins, energy_edges) -> float:
+    en = Enumeration(domain, "pinned", pm)
     return _pm_content_value(en, spins, energy_edges)
 
 
-def _pm_via_mono(domain, pm, spins, energy_edges, beta) -> float:
+def _pm_via_mono(domain, pm, spins, energy_edges) -> float:
     """Fourier-Walsh expansion over marked boundary spins in the locally
     monochromatic ensemble."""
-    en = Enumeration(domain, "mono", pm, beta)
+    en = Enumeration(domain, "mono", pm)
     labels = pm.edge_labels(domain)
     marks: list[tuple] = []
     for loop in domain.boundary_loops:
@@ -537,8 +521,7 @@ class _Transport:
         return self.chi * (1 - 2 * self.lift)
 
 
-def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
-                  beta: float = BETA_CRIT) -> dict:
+def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
     """Two-point observable as a field: F(source, c) for every corner c.
 
     Values are reported on the base sheet determined by the cover's branch
@@ -546,9 +529,10 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
     values at the source itself is stored under the source position.
     """
     src = _as_corner(source)
-    if src.pos not in domain.corners:
-        raise EnumerationError("source corner outside the domain")
-    en = Enumeration(domain, "standard", beta=beta)
+    if src.primal not in domain.vertices:
+        raise EnumerationError(
+            "source must be a corner at a vertex of the domain")
+    en = Enumeration(domain)
     ram = reduce_mod2(cover.ram_primal)
     den = en.sums([ram])[0]
     if den == 0.0:
@@ -594,7 +578,7 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source,
 
 
 def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
-                       avoid=(), beta: float = BETA_CRIT) -> complex:
+                       avoid=()) -> complex:
     """Multi-point observable F(z1, ..., zk), k even.
 
     The global sign follows the recursive convention: each new pair starts
@@ -608,7 +592,7 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
     pos = [p.pos for p in pts]
     if len(set(pos)) != len(pos):
         raise EnumerationError("corner positions must be distinct")
-    en = Enumeration(domain, "standard", beta=beta)
+    en = Enumeration(domain)
     ram = reduce_mod2(cover.ram_primal)
     den = en.sums([ram])[0]
     st = _Transport(cover)
@@ -634,15 +618,14 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
     return (1 - 2 * sheet) * st.sign * phase * num / den
 
 
-def obs_fermion(domain: MeshDomain, cover: DoubleCover, z1, z2,
-                beta: float = BETA_CRIT) -> complex:
+def obs_fermion(domain: MeshDomain, cover: DoubleCover, z1, z2) -> complex:
     """Two-point fermionic observable F(z1, z2)."""
     c1, c2 = _as_corner(z1), _as_corner(z2)
     if c1.pos == c2.pos:
         # split-corner convention: F(z, z^+) = eta^2
         eta = corner_phase(c1)
         return eta * eta * (1 if c1.sheet == c2.sheet else -1)
-    return fermion_multipoint(domain, cover, [c1, c2], beta=beta)
+    return fermion_multipoint(domain, cover, [c1, c2])
 
 
 # -- mixed correlations ----------------------------------------------------
@@ -678,7 +661,7 @@ class MixedContent:
 
 
 def corr_mixed(domain: MeshDomain, content: MixedContent,
-               beta: float = BETA_CRIT, check_tol: float | None = 1e-9):
+               check_tol: float | None = 1e-9):
     """General mixed correlation under standard boundary conditions.
 
     Returns the direct enumeration value.  The same quantity is recomputed
@@ -691,7 +674,7 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     K = len(corners)
     if K % 2 == 1:
         return 0.0
-    en = Enumeration(domain, "standard", beta=beta)
+    en = Enumeration(domain)
     z = en.sums([()])[0]
     # direct route: disorders via explicit cuts, energies via sigma products
     gamma: set = set()
@@ -715,7 +698,7 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     direct = total / z
     if check_tol is not None and (content.fermions or content.disorders
                                   or content.energies):
-        ferm = _mixed_via_fermions(domain, content, en, z, beta)
+        ferm = _mixed_via_fermions(domain, content, en, z)
         scale = max(abs(direct), abs(ferm), 1e-30)
         if abs(abs(direct) - abs(ferm)) > check_tol * max(1.0, scale):
             raise EnumerationError(
@@ -723,11 +706,11 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     return direct
 
 
-def _mixed_via_fermions(domain, content: MixedContent, en, z, beta) -> float:
+def _mixed_via_fermions(domain, content: MixedContent, en, z) -> float:
     corners, vertices = content.total_corners(domain)
     cover = DoubleCover(domain, ram_primal=frozenset(reduce_mod2(vertices)))
     cover = _with_cut(domain, cover)
-    F = fermion_multipoint(domain, cover, corners, beta=beta)
+    F = fermion_multipoint(domain, cover, corners)
     spin_corr = en.sums([reduce_mod2(vertices)])[0] / z
     eta_prod = complex(1.0)
     for c in corners:

@@ -1,4 +1,4 @@
-"""Wolff single-cluster Monte Carlo at the critical coupling.
+"""Wolff single-cluster Monte Carlo at the critical coupling BETA_CRIT.
 
 Boundary handling: a boundary component whose non-free part carries a
 single label (all plus, all minus, or wired) is represented by one
@@ -9,10 +9,10 @@ dynamics ergodic.  Components mixing plus and minus arcs fall back to
 frozen spins with cluster rejection, mitigated by interleaved
 checkerboard Metropolis sweeps.
 
-The generator is counter-based (Philox) keyed by (seed, chain), so runs
-are reproducible and parallel chains get independent streams.  One call
-of estimates() runs one chain and measures all its observables on every
-sample of it; estimate() is the same with a single observable.
+The generator is counter-based (Philox) keyed by the seed, so runs are
+reproducible.  One call of estimates() runs one Markov chain and measures
+all its observables on every sample of it; estimate() is the same with a
+single observable.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ import numpy as np
 from .exact import BETA_CRIT
 from .lattice import (FREE, MINUS, PLUS, WIRED, MeshDomain,
                       PMBoundarySpec, edge_key)
+
+
+# Wolff bond probability between equal spins.
+P_ADD = 1.0 - math.exp(-2.0 * BETA_CRIT)
+
+# Cluster updates per checkerboard Metropolis sweep; without the sweeps,
+# chains with frozen sites decorrelate several times more slowly.
+SWEEP_EVERY = 10
 
 
 class MonteCarloError(ValueError):
@@ -46,12 +54,11 @@ class CouplingGraph:
     frozen_value: np.ndarray
     index_of: dict
     mega_value: dict             # site index -> pinned value (+-1) or 0 (wired)
-    beta: float = BETA_CRIT
     color_groups: list = field(default_factory=list)
 
 
-def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
-                beta: float = BETA_CRIT) -> CouplingGraph:
+def build_graph(domain: MeshDomain,
+                pm: PMBoundarySpec | None = None) -> CouplingGraph:
     labels = (pm.edge_labels(domain) if pm is not None
               else dict.fromkeys(domain.sides, FREE))
     index = dict(domain.vertex_index)
@@ -126,8 +133,7 @@ def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
     for v, val in frozen_vals.items():
         fval[index[v]] = val
     graph = CouplingGraph(n_free, n_interior, n_sites, nbr,
-                          (indptr, other), frozen, fval, index, mega_value,
-                          beta)
+                          (indptr, other), frozen, fval, index, mega_value)
     colors = (domain.vertex_xy[:, 0] % 4) // 2
     graph.color_groups = [np.where(colors == c)[0] for c in (0, 1)]
     return graph
@@ -137,7 +143,6 @@ def build_graph(domain: MeshDomain, pm: PMBoundarySpec | None = None,
 class MCState:
     graph: CouplingGraph
     seed: int
-    chain: int = 0
     spins: np.ndarray = field(init=False)
     rng: np.random.Generator = field(init=False)
     n_updates: int = 0
@@ -145,7 +150,7 @@ class MCState:
 
     def __post_init__(self):
         self.rng = np.random.Generator(
-            np.random.Philox(key=[self.seed, self.chain]))
+            np.random.Philox(key=[self.seed, 0]))
         g = self.graph
         spins = self.rng.choice(np.array([-1, 1], dtype=np.int8), g.n_sites)
         for s, val in g.mega_value.items():
@@ -161,12 +166,10 @@ class MCState:
         return int(self.spins[site]) * target
 
 
-def wolff_update(state: MCState, beta: float | None = None) -> int:
+def wolff_update(state: MCState) -> int:
     """One single-cluster update; clusters touching a frozen site of a
     mixed component are rejected (size 0 reported)."""
     g = state.graph
-    beta = g.beta if beta is None else beta
-    p_add = 1.0 - math.exp(-2.0 * beta)
     indptr, other = g.edge_csr
     seed = int(state.rng.integers(0, g.n_free))
     spin0 = state.spins[seed]
@@ -190,7 +193,7 @@ def wolff_update(state: MCState, beta: float | None = None) -> int:
         cand = cand[open_[cand]]
         if not len(cand):
             break
-        cand = np.unique(cand[state.rng.random(len(cand)) < p_add])
+        cand = np.unique(cand[state.rng.random(len(cand)) < P_ADD])
         if not len(cand):
             break
         open_[cand] = False
@@ -206,15 +209,14 @@ def wolff_update(state: MCState, beta: float | None = None) -> int:
     return int(np.count_nonzero(members))
 
 
-def metropolis_sweep(state: MCState, beta: float | None = None):
+def metropolis_sweep(state: MCState):
     """Vectorized checkerboard sweep over the interior sites."""
     g = state.graph
-    beta = g.beta if beta is None else beta
     for group in g.color_groups:
         field_sum = state.spins[g.neighbors[group]].sum(axis=1)
         cur = state.spins[group]
         dE = 2.0 * cur * field_sum
-        accept = state.rng.random(len(group)) < np.exp(-beta * dE)
+        accept = state.rng.random(len(group)) < np.exp(-BETA_CRIT * dE)
         state.spins[group[accept]] = -cur[accept]
 
 
@@ -277,37 +279,36 @@ def _summarize(series: np.ndarray, n_bins: int, rejection_rate: float
 
 def estimates(domain: MeshDomain, pm: PMBoundarySpec | None, observables,
               n_therm: int, n_samples: int, seed: int,
-              sweep_every: int = 10, chain: int = 0,
-              beta: float = BETA_CRIT, n_bins: int = 20) -> list[Estimate]:
+              n_bins: int = 20) -> list[Estimate]:
     """One Markov chain, every observable measured on every sample.
 
     An observable is (kind, payload): ("spin_product", vertices),
     ("mean_spin", vertices) or ("mean_edge", [(a, b), ...]).  They are
     resolved to sites before the chain runs, so a bad one raises
     MonteCarloError at once.  One sample per cluster update, a Metropolis
-    sweep every sweep_every updates.  Each sample gathers the spins of
+    sweep every SWEEP_EVERY updates.  Each sample gathers the spins of
     every observable and of the pinned mega-sites into one int8 row; the
     rows are reduced after the chain, in integer arithmetic, so the
     estimates equal those of separate estimate() calls on the same chain.
     Each Estimate has the binned mean and jackknife standard error, and
     its effective sample size comes from the integrated autocorrelation
-    of its series; deterministic in (seed, chain).
+    of its series; deterministic in the seed.
     """
     if n_bins < 2:
         raise MonteCarloError("need at least 2 bins for a standard error")
     if n_samples < 10 * n_bins:
         raise MonteCarloError("need at least 10 samples per bin")
-    graph = build_graph(domain, pm, beta)
+    graph = build_graph(domain, pm)
     read, plan, pinned = _read_plan(graph, observables)
-    state = MCState(graph, seed, chain)
+    state = MCState(graph, seed)
     for i in range(n_therm):
         wolff_update(state)
-        if sweep_every and i % sweep_every == 0:
+        if i % SWEEP_EVERY == 0:
             metropolis_sweep(state)
     rec = np.empty((n_samples, len(read)), dtype=np.int8)
     for i in range(n_samples):
         wolff_update(state)
-        if sweep_every and i % sweep_every == 0:
+        if i % SWEEP_EVERY == 0:
             metropolis_sweep(state)
         rec[i] = state.spins[read]
     # odd observables take the pinned-component sign (flip identity);
@@ -334,16 +335,16 @@ def estimates(domain: MeshDomain, pm: PMBoundarySpec | None, observables,
 
 def estimate(domain: MeshDomain, pm: PMBoundarySpec | None, observable,
              n_therm: int, n_samples: int, seed: int,
-             sweep_every: int = 10, chain: int = 0,
-             beta: float = BETA_CRIT, n_bins: int = 20) -> Estimate:
+             n_bins: int = 20) -> Estimate:
     """One observable on its own chain: estimates() with a single
     observable."""
     return estimates(domain, pm, [observable], n_therm, n_samples, seed,
-                     sweep_every, chain, beta, n_bins)[0]
+                     n_bins)[0]
 
 
-def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
-    """Integrated autocorrelation time with an adaptive window."""
+def integrated_autocorrelation(series: np.ndarray) -> float:
+    """Integrated autocorrelation time, summed up to the first lag t with
+    t >= 6 tau (an adaptive window)."""
     x = np.asarray(series, dtype=float)
     x = x - x.mean()
     var = float(np.dot(x, x)) / len(x)
@@ -353,6 +354,6 @@ def integrated_autocorrelation(series: np.ndarray, c: float = 6.0) -> float:
     for t in range(1, min(len(x) // 4, 2000)):
         rho = float(np.dot(x[:-t], x[t:])) / ((len(x) - t) * var)
         tau += rho
-        if t >= c * tau:
+        if t >= 6.0 * tau:
             break
     return max(tau, 0.5)

@@ -196,9 +196,9 @@ class SpinorField:
 
 
 def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
-                     normalization: complex | None = None,
                      residual_tol: float = 1e-10) -> SpinorField:
-    """Unique s-holomorphic spinor with a split source value.
+    """Unique s-holomorphic spinor whose split source value is pinned to
+    the source's corner phase.
 
     The cover may be ramified at primal vertices only.  The assembled
     system has one redundant row; it is solved square, without that row,
@@ -209,16 +209,10 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
     if cover.ram_dual:
         raise SolveError("covers ramified at dual vertices are not supported")
     src = source if isinstance(source, CornerPoint) else CornerPoint(tuple(source))
-    if src.pos not in domain.corners:
-        raise SolveError("source corner outside the domain")
-    if corner_neighbors(src.pos)[0] not in domain.vertices:
-        raise SolveError("source corner must have its vertex inside the domain")
-    eta_src = base_phase(src.pos)
-    eta_pin = eta_src if normalization is None else complex(normalization)
-    if abs((eta_pin * eta_src.conjugate()).imag) > 1e-12 * abs(eta_pin):
-        raise SolveError(
-            "normalization must be a real multiple of the source phase")
-
+    # the primal neighbour of a non-corner point is never a vertex
+    if src.primal not in domain.vertices:
+        raise SolveError("source must be a corner at a vertex of the domain")
+    eta_pin = base_phase(src.pos)
     A, b, unknowns = _assemble(domain, cover, src.pos, eta_pin)
     x = _square_solve(A, b)
     res = float(np.linalg.norm(b - A @ x))
@@ -375,18 +369,19 @@ def _gauss_nodes(n: int):
     return _GL_CACHE[n]
 
 
-def _ray_quadrature(f, tol: float = 1e-13, max_pow: int = 11) -> complex:
+def _ray_quadrature(f) -> complex:
     """integral_0^infinity f(t) dt via t = tan(theta), Gauss-Legendre with
-    point-doubling until two successive values agree."""
+    point-doubling from 32 to 2048 nodes until two successive values agree
+    to 1e-13."""
     prev = None
-    for k in range(5, max_pow + 1):
+    for k in range(5, 12):
         n = 1 << k
         x, w = _gauss_nodes(n)
         theta = (x + 1) * (math.pi / 4)
         t = np.tan(theta)
         vals = f(t) * (math.pi / 4) / np.cos(theta) ** 2
         val = complex(np.sum(w * vals))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
             return val
         prev = val
     raise SolveError("ray quadrature did not converge")

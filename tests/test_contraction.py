@@ -9,12 +9,13 @@ import pytest
 
 from conftest import bulk_corners, square
 from isinglab import exact
-from isinglab.exact import (Enumeration, EnumerationError, fermion_field,
-                            fermion_multipoint, partition_function)
+from isinglab.exact import (BETA_CRIT, Enumeration, EnumerationError,
+                            corr_energy, fermion_field, fermion_multipoint,
+                            partition_function)
 from isinglab.lattice import (CORNER_STEPS, FREE, WIRED, MeshDomain,
                               PMBoundarySpec, bfs_path, build_annulus,
-                              build_rectangle, edge_key, inner_corner,
-                              make_cover, neighbors_in)
+                              build_rectangle, inner_corner, make_cover,
+                              neighbors_in)
 from isinglab.pfaffian import assemble_multipoint
 from isinglab.sholo import solve_observable
 
@@ -43,16 +44,12 @@ def brute_sums(en: Enumeration, observables, gamma=()) -> list[float]:
         energy = sum(value(*t) for t in en.edge_terms.values())
         for t in flipped:
             energy -= 2 * value(*t)
-        w = np.exp(en.beta * energy)
+        w = np.exp(BETA_CRIT * energy)
         for i, obs in enumerate(observables):
             val = value(1)
-            if isinstance(obs, tuple) and len(obs) == 2 and obs[0] == "edges":
-                for e in obs[1]:
-                    val *= value(*en.edge_terms[edge_key(*e)])
-            else:
-                for s in obs:
-                    ex = en.exprs[tuple(s)]
-                    val *= value(ex.coef, ex.var)
+            for s in obs:
+                ex = en.exprs[tuple(s)]
+                val *= value(ex.coef, ex.var)
             out[i] += float(np.dot(w, val))
     return list(out)
 
@@ -108,17 +105,35 @@ def test_pinned_and_mono_modes():
     _assert_matches(en, [tuple(marks), (marks[0], sorted(dom.vertices)[4])])
 
 
+def _edge_products(edge_sets):
+    """Each product of sigma sigma over edges as the spins of the edges'
+    endpoints."""
+    return [tuple(v for e in edges for v in e) for edges in edge_sets]
+
+
 def test_edge_observables():
+    """Products of sigma sigma over edges of the energy, wired crossing
+    edges included, as products of endpoint spins."""
     rng = random.Random(3)
     dom = build_rectangle(1.0, 4, 3, [(WIRED, 4), (FREE, 4), (WIRED, 6)])
     en = Enumeration(dom)
     edges = sorted(en.edge_terms)
-    obs = [("edges", rng.sample(edges, k)) for k in (1, 2, 3)]
-    obs.append(("edges", [edges[0], edges[0], edges[5]]))
+    obs = _edge_products([rng.sample(edges, k) for k in (1, 2, 3)]
+                         + [[edges[0], edges[0], edges[5]]])
     _assert_matches(en, obs)
     _assert_matches(en, obs, _dual_cut(dom, rng))
     with pytest.raises(EnumerationError):
-        en.sums([("edges", [sorted(dom.crossing_edges - set(edges))[0]])])
+        en.sums(_edge_products([[sorted(dom.crossing_edges - set(edges))[0]]]))
+
+
+def test_energy_across_a_free_arc_is_refused():
+    dom = build_rectangle(1.0, 4, 3, [(WIRED, 4), (FREE, 4), (WIRED, 6)])
+    free = sorted(dom.crossing_edges - set(Enumeration(dom).edge_terms))
+    assert free
+    inner = sorted(dom.interior_edges)[0]
+    for edges in ([free[0]], [inner, free[-1]]):
+        with pytest.raises(EnumerationError, match="crosses a free arc"):
+            corr_energy(dom, edges)
 
 
 def test_two_loop_domains():
@@ -147,11 +162,9 @@ def test_observables_in_batches(monkeypatch):
 
 
 def test_overflow_is_an_error():
-    """A sum beyond float64 raises: at beta = 50, and at beta_c once the
-    spin count passes about 700 (ln Z grows by about 1 per spin), which a
-    narrow 10 x 80 block with a 12-variable frontier does; 10 x 70 sums."""
-    with pytest.raises(EnumerationError, match="non-finite"):
-        partition_function(build_rectangle(1.0, 4, 4), beta=50.0)
+    """A sum beyond float64 raises once the spin count passes about 700
+    (ln Z grows by about 1 per spin), which a narrow 10 x 80 block with a
+    12-variable frontier does; 10 x 70 sums."""
     assert np.isfinite(partition_function(build_rectangle(1.0, 10, 70)))
     with pytest.raises(EnumerationError, match="non-finite"):
         partition_function(build_rectangle(1.0, 10, 80))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bulk_corners, square
-from isinglab.exact import fermion_field
+from isinglab.exact import EnumerationError, fermion_field
 from isinglab.lattice import (FREE, WIRED, DoubleCover, MeshDomain,
                               base_phase, build_annulus, build_rectangle,
                               corner_neighbors, edge_midpoint, inner_corner,
@@ -55,16 +55,20 @@ def test_solver_refuses_dual_ramification():
         solve_observable(dom, cov, inner_corner(dom))
 
 
-def test_uniqueness_regression():
+def test_sources_off_the_domain_are_refused():
+    """A non-corner point, a corner far outside and a corner at the outer
+    vertex of a wired crossing edge: the solver and the enumeration both
+    refuse them as sources."""
     dom = build_rectangle(1.0, 4, 4)
     cov = make_cover(dom, [])
-    src = inner_corner(dom)
-    sol = solve_observable(dom, cov, src)
-    # perturbing the solution must strictly increase the residual: re-solve
-    # with a perturbed pinned value and compare fields
-    sol2 = solve_observable(dom, cov, src, normalization=2.0 * base_phase(src))
-    for c in sol.values:
-        assert sol2.values[c] == pytest.approx(2.0 * sol.values[c], abs=1e-9)
+    outer = [c for c in sorted(dom.corners)
+             if corner_neighbors(c)[0] not in dom.vertices]
+    assert outer
+    for src in (sorted(dom.vertices)[5], (1001, 1000), outer[0]):
+        with pytest.raises(SolveError, match="corner at a vertex"):
+            solve_observable(dom, cov, src)
+        with pytest.raises(EnumerationError, match="corner at a vertex"):
+            fermion_field(dom, cov, src)
 
 
 def dense_system(dom, cov, src):
