@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.special as sps
 
 
 class EllipticError(ValueError):
@@ -98,12 +97,6 @@ class EllipticModulus:
         k = (t2 / t3) ** 2
         K = math.pi / 2 * t3 * t3
         return cls(p, tau, q, k, K, K * math.pi / p)
-
-    def consistency(self) -> float:
-        """|K'(k)/K(k) - pi/p| via independent complete elliptic integrals."""
-        m = self.k ** 2
-        ratio = sps.ellipkm1(m) / sps.ellipk(m)
-        return abs(ratio - math.pi / self.p)
 
 
 # -- Weierstrass functions with half-periods (p, i pi) -----------------------

@@ -8,7 +8,9 @@ condition fixes the direction).  The system is assembled from integer
 index arrays and has exactly one redundant row: without it the system is
 square and is solved by one sparse LU factorization (two when the first
 choice of row is poorly conditioned), with the residual of the full
-system asserted.
+system asserted.  The sparse matrix and its factorization come from scipy,
+whose modules are imported by the first solve: the rest of isinglab needs
+only numpy.
 
 Also here: the full-plane discrete analogues of 1/z and 1/sqrt(z) built
 from discrete exponentials, the integrated quadratic form H, and the
@@ -19,12 +21,11 @@ point.
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import (
     CORNER_STEPS, FREE, WIRED, CornerPoint, DoubleCover, MeshDomain,
@@ -37,6 +38,23 @@ _CYC = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 # exp(-i pi/4), the phase of the grid rotation z -> -i z: the base phase of
 # a corner whose dual vertex lies west of its primal one
 _ROT_CW_PHASE = base_phase((-1, 0))
+
+
+class _Deferred:
+    """A module imported the first time one of its attributes is read."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# scipy's sparse modules take most of a cold start to import and only the
+# solver uses them.  They stay module globals, so that a tracer can swap
+# `spla` for a timed stand-in.
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
 
 
 class SolveError(RuntimeError):

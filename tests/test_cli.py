@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isinglab
 from isinglab import cli, montecarlo
 from isinglab.cli import main
 from isinglab.lattice import (PMBoundarySpec, build_annulus, build_rectangle,
@@ -166,3 +171,26 @@ def test_fusion_psi_psi(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
     assert run(["fusion", "--rule", "bogus"]) == 2
+
+
+_COLD_START = """
+import sys
+from isinglab import cli
+for args in (["hp-eval"], ["kernels"], ["annulus-eval"],
+             ["exact-check", "--size", "4"]):
+    assert cli.main(args) == 0, args
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+assert cli.main(["bvp", "--size", "4"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_only_the_solver_imports_scipy():
+    """In a fresh interpreter: this one has imported scipy already."""
+    src = str(Path(isinglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -94,10 +94,23 @@ def test_nonpositive_modulus_rejected(p):
 
 
 def test_modulus_self_consistency():
+    # scipy's complete elliptic integrals are the independent reference
+    from scipy.special import ellipk, ellipkm1
     for p in (math.log(2), 0.9, 2.5, 5.0):
         m = EllipticModulus.from_modulus(p)
-        assert m.consistency() < 1e-12
+        ratio = ellipkm1(m.k ** 2) / ellipk(m.k ** 2)
+        assert abs(ratio - math.pi / p) < 1e-12
         assert 0 < m.nome < 1
+
+
+def test_self_dual_modulus_closed_form():
+    # p = pi is the square period lattice: k = 1/sqrt(2) and
+    # K = K' = Gamma(1/4)^2 / (4 sqrt(pi)) = 1.8540746773013719
+    m = EllipticModulus.from_modulus(math.pi)
+    K = math.gamma(0.25) ** 2 / (4 * math.sqrt(math.pi))
+    assert m.k == pytest.approx(1 / math.sqrt(2), rel=1e-14, abs=0)
+    assert m.K == pytest.approx(K, rel=1e-14, abs=0)
+    assert m.Kprime == pytest.approx(K, rel=1e-14, abs=0)
 
 
 def test_rect_map_roundtrip_and_symmetry():
