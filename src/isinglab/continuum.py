@@ -30,7 +30,7 @@ class ContinuumError(ValueError):
 @dataclass(frozen=True)
 class Fermion:
     z: complex
-    kind: str = "holo"          # holo | antiholo | eta | sharp | flat
+    kind: str = "holo"          # holo | antiholo | eta | flat
     eta: complex | None = None
 
 
@@ -93,16 +93,11 @@ def hp_pairs(bc: HalfPlaneBC, spins=(), disorders=()):
     b = bc.free_endpoints
     for i in range(bc.q):
         pairs.append((complex(b[2 * i]), complex(b[2 * i + 1])))
-    for v in spins:
+    for v in (*spins, *disorders):
         v = complex(v)
         if v.imag <= 0:
             raise ContinuumError("bulk points must be in the open half-plane")
         pairs.append((v, v.conjugate()))
-    for u in disorders:
-        u = complex(u)
-        if u.imag <= 0:
-            raise ContinuumError("bulk points must be in the open half-plane")
-        pairs.append((u, u.conjugate()))
     return pairs
 
 
@@ -167,39 +162,27 @@ def _chi_logs(pairs, n_arcs: int) -> np.ndarray:
 
 def hp_spin(bc: HalfPlaneBC, spins) -> float:
     """Half-plane spin correlation; odd counts need plus wired arcs."""
-    spins = [complex(v) for v in spins]
-    n = len(spins)
-    if n % 2 == 1 and not bc.fixed_is_plus:
-        return 0.0
-    pairs = hp_pairs(bc, spins)
-    logs = _chi_logs(pairs, bc.q)
-    q = bc.q
-    num = _sign_sum(logs)
-    den = _sign_sum(logs[:q, :q])
-    radicand = K_SPIN ** n * num / den
-    if radicand < 0:
-        raise ContinuumError("negative radicand: branch misconfiguration")
-    pref = math.prod((v.imag) ** -SPIN_WEIGHT for v in spins)
-    return pref * math.sqrt(radicand)
+    return hp_spin_disorder(bc, spins, ())
 
 
 def hp_spin_disorder(bc: HalfPlaneBC, spins, disorders):
     """Mixed spin-disorder correlation in the half-plane.
 
-    The square root is taken of the sign-weighted sum with its leading
-    minus.
+    With disorders present, the square root is taken of the sign-weighted
+    sum with its leading minus.
     """
     spins = [complex(v) for v in spins]
     disorders = [complex(u) for u in disorders]
     n, m = len(spins), len(disorders)
-    if m == 0:
-        return hp_spin(bc, spins)
+    if m == 0 and n % 2 == 1 and not bc.fixed_is_plus:
+        return 0.0
     pairs = hp_pairs(bc, spins, disorders)
     logs = _chi_logs(pairs, bc.q)
     q = bc.q
     num = _sign_sum(logs, signed_tail=m)
     den = _sign_sum(logs[:q, :q])
-    radicand = -(K_SPIN ** (n + m)) * num / den
+    sign = -1 if m else 1
+    radicand = sign * K_SPIN ** (n + m) * num / den
     if radicand < 0:
         raise ContinuumError("negative radicand: branch misconfiguration")
     pref = math.prod((w.imag) ** -SPIN_WEIGHT for w in spins + disorders)
@@ -218,38 +201,37 @@ def hp_fermion(case: str, z1: complex, z2: complex, kind: str = "f",
     kind: "f" or "fstar".
     """
     z1, z2 = complex(z1), complex(z2)
+    if kind not in ("f", "fstar"):
+        raise ContinuumError(f"unknown kernel kind {kind!r}")
+    # the starred kernel is the unstarred one at the conjugated first point;
+    # on the factored branches below it needs no extra sign (the section is
+    # fixed against the lattice solver)
+    w1 = z1 if kind == "f" else z1.conjugate()
     if case == "wired":
-        if kind == "f":
-            return 2.0 / (z2 - z1)
-        return 2.0 / (z2 - z1.conjugate())
+        return 2.0 / (z2 - w1)
     if case == "spin":
         if v is None:
             raise ContinuumError("spin case needs the ramification point")
-        v = complex(v)
-        w1 = z1 if kind == "f" else z1.conjugate()
-        # factored branches: the spinor cut runs straight below v
-        r = cmath.sqrt((w1 - v) / (w1 - v.conjugate())) * cmath.sqrt(
-            (z2 - v.conjugate()) / (z2 - v))
-        return (r + 1.0 / r) / (z2 - w1)
-    if case == "free_arc":
+        b1, b2 = complex(v), complex(v).conjugate()
+    elif case == "free_arc":
         if arc is None:
             raise ContinuumError("free_arc case needs the interval")
         b1, b2 = (complex(a) for a in arc)
-
-        def f_plain(w1, w2):
-            # factored square roots stay on one branch over each half-plane
-            r = cmath.sqrt((w1 - b1) / (w1 - b2)) * cmath.sqrt(
-                (w2 - b2) / (w2 - b1))
-            return (r + 1.0 / r) / (w2 - w1)
-        if kind == "f":
-            return f_plain(z1, z2)
-        # section fixed against the lattice solver; the conjugated first
-        # argument needs no extra sign on the factored branches
-        return f_plain(z1.conjugate(), z2)
-    raise ContinuumError(f"unknown half-plane case {case!r}")
+    else:
+        raise ContinuumError(f"unknown half-plane case {case!r}")
+    # the kernel ramified at b1 and b2: its factored square roots stay on
+    # one branch over each half-plane, so the spinor cut of the spin case
+    # runs straight below v
+    r = cmath.sqrt((w1 - b1) / (w1 - b2)) * cmath.sqrt(
+        (z2 - b2) / (z2 - b1))
+    return (r + 1.0 / r) / (z2 - w1)
 
 
 # -- annulus formulas ------------------------------------------------------------
+
+# The annulus labels plus and minus fix the boundary spin; wired sums over
+# it, and free carries none.
+_FIXED_SIGN = {"plus": 1, "minus": -1}
 
 
 def _real_root8(x: float, power: float) -> float:
@@ -297,34 +279,28 @@ def ann_sigma(bc: AnnulusBC, v: complex) -> float:
     r = abs(v)
     if not (math.exp(-p) < r < 1.0):
         raise ContinuumError("point outside the annulus")
-    pair = (bc.outer, bc.inner)
-    if pair in (("free", "plus"), ("free", "minus")):
-        val = _magn_layer(math.log(r), p, shifted=False)
-        return val if bc.inner == "plus" else -val
-    if pair in (("wired", "plus"), ("wired", "minus")):
-        val = _magn_layer(math.log(r), p, shifted=True)
-        return val if bc.inner == "plus" else -val
-    if pair in (("plus", "plus"), ("plus", "minus"),
-                ("minus", "plus"), ("minus", "minus")):
-        inner_sign = 1 if bc.inner == "plus" else -1
-        outer_sign = 1 if bc.outer == "plus" else -1
-        a = _magn_layer(math.log(r), p, shifted=True)
-        b = _magn_layer(-p - math.log(r), p, shifted=True, radius=r)
-        s = ann_sigma_inout(p)
-        if inner_sign != outer_sign:
-            val = (a - b) / (1.0 - s)
+    outer, inner = bc.outer, bc.inner
+    if ({outer, inner} - {"plus", "minus", "wired", "free"}
+            or outer == inner == "wired"):
+        raise ContinuumError(f"unsupported annulus labels {(outer, inner)}")
+    if inner in _FIXED_SIGN:
+        if outer in _FIXED_SIGN:
+            a = _magn_layer(math.log(r), p, shifted=True)
+            b = _magn_layer(-p - math.log(r), p, shifted=True, radius=r)
+            s = ann_sigma_inout(p)
+            if inner != outer:
+                val = (a - b) / (1.0 - s)
+            else:
+                val = (a + b) / (1.0 + s)
         else:
-            val = (a + b) / (1.0 + s)
-        return inner_sign * val
-    if pair in (("plus", "free"), ("minus", "free"),
-                ("plus", "wired"), ("minus", "wired")):
+            val = _magn_layer(math.log(r), p, shifted=outer == "wired")
+        return _FIXED_SIGN[inner] * val
+    if outer in _FIXED_SIGN:
         # invert the annulus to swap the circles: z -> e^-p / z
         w = math.exp(-p) / r
         jac = (math.exp(-p) / r ** 2) ** SPIN_WEIGHT
-        return jac * ann_sigma(AnnulusBC(p, bc.inner, bc.outer), w)
-    if "free" in pair and set(pair) <= {"free", "wired"}:
-        return 0.0
-    raise ContinuumError(f"unsupported annulus labels {pair}")
+        return jac * ann_sigma(AnnulusBC(p, inner, outer), w)
+    return 0.0
 
 
 def _magn_layer(x: float, p: float, shifted: bool,
@@ -352,32 +328,31 @@ def ann_fermion(bc: AnnulusBC, z: complex, w: complex, kind: str = "f",
     """
     p = bc.p
     z, w = complex(z), complex(w)
+    labels = (bc.outer, bc.inner)
+    if kind not in ("f", "fstar"):
+        raise ContinuumError(f"unknown kernel kind {kind!r}")
     if with_spins:
         fun = "ns"
-    elif (bc.outer, bc.inner) == ("wired", "wired"):
+    elif labels == ("wired", "wired"):
         fun = "ds"
-    elif (bc.outer, bc.inner) in (("wired", "free"), ("free", "wired")):
+    elif labels in (("wired", "free"), ("free", "wired")):
         fun = "cs"
     else:
-        raise ContinuumError(f"unsupported annulus fermion labels "
-                             f"{(bc.outer, bc.inner)}")
-    if (bc.outer, bc.inner) == ("free", "wired"):
-        # swap circles by inversion; the kernels transform with weight 1/2
+        raise ContinuumError(f"unsupported annulus fermion labels {labels}")
+    if labels == ("free", "wired"):
+        # swap circles by inversion; the kernels transform with weight 1/2,
+        # the starred one antiholomorphically in its first point
         zi, wi = math.exp(-p) / z, math.exp(-p) / w
-        dz = -math.exp(-p) / z ** 2
-        dw = -math.exp(-p) / w ** 2
+        sz = cmath.sqrt(-math.exp(-p) / z ** 2)
+        sw = cmath.sqrt(-math.exp(-p) / w ** 2)
+        if kind == "fstar":
+            sz = sz.conjugate()
         sub = AnnulusBC(p, "wired", "free")
-        if kind == "f":
-            return (ann_fermion(sub, zi, wi, "f", with_spins)
-                    * cmath.sqrt(dz) * cmath.sqrt(dw))
-        return (ann_fermion(sub, zi, wi, "fstar", with_spins)
-                * cmath.sqrt(dz).conjugate() * cmath.sqrt(dw))
+        return ann_fermion(sub, zi, wi, kind, with_spins) * sz * sw
     if kind == "f":
         return 2.0 / cmath.sqrt(z * w) * jacobi(fun, cmath.log(z / w), p)
-    if kind == "fstar":
-        zw = z * w.conjugate()
-        return 2.0j / cmath.sqrt(zw) * jacobi(fun, cmath.log(zw), p)
-    raise ContinuumError(f"unknown kernel kind {kind!r}")
+    zw = z * w.conjugate()
+    return 2.0j / cmath.sqrt(zw) * jacobi(fun, cmath.log(zw), p)
 
 
 def ann_energy_onepoint(bc: AnnulusBC, e: complex) -> float:
@@ -392,26 +367,25 @@ def ann_energy_onepoint(bc: AnnulusBC, e: complex) -> float:
     if not (math.exp(-p) < r < 1.0):
         raise ContinuumError("point outside the annulus")
     x = 2.0 * math.log(r)
-    pair = (bc.outer, bc.inner)
-    if pair in (("plus", "free"), ("wired", "free"), ("minus", "free")):
+    outer, inner = bc.outer, bc.inner
+    spin_labels = ("plus", "minus", "wired")
+    if outer in spin_labels and inner == "free":
         val = -jacobi("cs", x, p) / r
         return float(_real_of(val))
-    if pair in (("free", "plus"), ("free", "wired"), ("free", "minus")):
+    if outer == "free" and inner in spin_labels:
         jac = math.exp(-p) / r ** 2
         flipped = AnnulusBC(p, outer="plus", inner="free")
         return jac * ann_energy_onepoint(flipped, math.exp(-p) / r)
-    if pair in (("wired", "wired"), ("plus", "plus"), ("plus", "minus"),
-                ("minus", "plus"), ("minus", "minus")):
+    if outer == inner == "wired":
+        return -_real_of(jacobi("ds", x, p)) / r
+    if outer in _FIXED_SIGN and inner in _FIXED_SIGN:
         ds_v = _real_of(jacobi("ds", x, p))
-        if pair == ("wired", "wired"):
-            return -ds_v / r
         s = ann_sigma_inout(p)
         ns_v = _real_of(jacobi("ns", x, p))
-        rel_minus = bc.outer != bc.inner
-        if rel_minus:
+        if outer != inner:
             return (-ds_v + ns_v * s) / (r * (1.0 - s))
         return (-ds_v - ns_v * s) / (r * (1.0 + s))
-    raise ContinuumError(f"unsupported annulus labels {pair}")
+    raise ContinuumError(f"unsupported annulus labels {(outer, inner)}")
 
 
 def _real_of(x: complex, tol: float = 1e-9) -> float:
@@ -509,10 +483,8 @@ def covariance_factor(content: OperatorContent, dphi) -> complex:
     here.
     """
     fac: complex = 1.0
-    for v in content.spins:
+    for v in (*content.spins, *content.disorders):
         fac *= abs(dphi(complex(v))) ** SPIN_WEIGHT
-    for u in content.disorders:
-        fac *= abs(dphi(complex(u))) ** SPIN_WEIGHT
     for e in content.energies:
         fac *= abs(dphi(complex(e))) ** ENERGY_WEIGHT
     for f in content.fermions:
@@ -520,11 +492,7 @@ def covariance_factor(content: OperatorContent, dphi) -> complex:
             fac *= dphi(f.z) ** FERMION_WEIGHT
         elif f.kind == "antiholo":
             fac *= (dphi(f.z).conjugate()) ** FERMION_WEIGHT
-        elif f.kind in ("flat",):
-            pass
-        elif f.kind == "eta":
-            pass  # handled by relabeling eta below
-        else:
+        elif f.kind not in ("flat", "eta"):
             raise ContinuumError(f"no covariance rule for kind {f.kind!r}")
     return fac
 

@@ -75,6 +75,22 @@ def _nome(p: float) -> float:
     return math.exp(-math.pi ** 2 / p)
 
 
+def _modulus_from_nome(q: float) -> tuple[float, float]:
+    """The modulus k and the quarter-period K of the real nome q."""
+    t2, t3, _ = _theta_constants(q)
+    return (t2 / t3) ** 2, math.pi / 2 * t3 * t3
+
+
+def _sn_cn_dn(zeta: complex, q: float):
+    """sn, cn and dn as theta quotients at zeta = u / theta_3(0)^2."""
+    t2, t3, t4 = _theta_constants(q)
+    th1, th2, th3, th4 = (theta(i, zeta, q) for i in (1, 2, 3, 4))
+    sn = (t3 / t2) * th1 / th4
+    cn = (t4 / t2) * th2 / th4
+    dn = (t4 / t3) * th3 / th4
+    return sn, cn, dn
+
+
 # -- modulus bookkeeping ------------------------------------------------------
 
 
@@ -93,9 +109,7 @@ class EllipticModulus:
     def from_modulus(cls, p: float) -> "EllipticModulus":
         q = _nome(p)
         tau = 1j * math.pi / p
-        t2, t3, _ = _theta_constants(q)
-        k = (t2 / t3) ** 2
-        K = math.pi / 2 * t3 * t3
+        k, K = _modulus_from_nome(q)
         return cls(p, tau, q, k, K, K * math.pi / p)
 
 
@@ -163,36 +177,21 @@ def jacobi(kind: str, z: complex, p: float) -> complex:
         cs(z + 2p) = cs(z)    cs(z + 2 pi i) = -cs(z)
     """
     q = _nome(p)
-    t2, t3, t4 = _theta_constants(q)
-    zeta = math.pi * complex(z) / (2 * p)
-    th1 = theta(1, zeta, q)
-    if abs(th1) < 1e-300:
+    sn, cn, dn = _sn_cn_dn(math.pi * complex(z) / (2 * p), q)
+    if abs(sn) < 1e-300:
         raise EllipticError("evaluation at a pole")
-    th2, th3, th4 = (theta(i, zeta, q) for i in (2, 3, 4))
-    sn = (t3 / t2) * th1 / th4
-    scale = math.pi / 2 * t3 * t3 / p     # K / p
+    _, K = _modulus_from_nome(q)
+    scale = K / p
     if kind == "ns":
         return scale / sn
     if kind == "ds":
-        dn = (t4 / t3) * th3 / th4
         return scale * dn / sn
     if kind == "cs":
-        cn = (t4 / t2) * th2 / th4
         return scale * cn / sn
     raise EllipticError(f"unknown Jacobi kind {kind!r}")
 
 
 # -- rectangle map -------------------------------------------------------------
-
-
-def _sn_cn_dn(u: complex, q: float):
-    t2, t3, t4 = _theta_constants(q)
-    zeta = complex(u) / (t3 * t3)
-    th1, th2, th3, th4 = (theta(i, zeta, q) for i in (1, 2, 3, 4))
-    sn = (t3 / t2) * th1 / th4
-    cn = (t4 / t2) * th2 / th4
-    dn = (t4 / t3) * th3 / th4
-    return sn, cn, dn
 
 
 @dataclass(frozen=True)
@@ -214,10 +213,7 @@ class RectangleMap:
         if aspect <= 0:
             raise EllipticError("aspect must be positive")
         q = math.exp(-2 * math.pi * aspect)
-        t2, t3, _ = _theta_constants(q)
-        k = (t2 / t3) ** 2
-        K = math.pi / 2 * t3 * t3
-        return cls(aspect, k, K, q)
+        return cls(aspect, *_modulus_from_nome(q), q)
 
     def _dF(self, t: np.ndarray) -> np.ndarray:
         return 1.0 / np.sqrt((1 - t * t) * (1 - (self.k * t) ** 2))
@@ -247,14 +243,18 @@ class RectangleMap:
         z = complex(z)
         return 1.0 / (2 * self.K * cmath.sqrt((1 - z * z) * (1 - (self.k * z) ** 2)))
 
-    def from_rect(self, w: complex) -> complex:
+    def _sn_cn_dn_at(self, w: complex):
+        """sn, cn and dn at u = 2K w - K, which takes the rectangle onto the
+        half-plane through sn."""
         u = 2 * self.K * complex(w) - self.K
-        sn, _, _ = _sn_cn_dn(u, self.nome)
-        return sn
+        t3 = _theta_constants(self.nome)[1]
+        return _sn_cn_dn(u / (t3 * t3), self.nome)
+
+    def from_rect(self, w: complex) -> complex:
+        return self._sn_cn_dn_at(w)[0]
 
     def from_rect_deriv(self, w: complex) -> complex:
-        u = 2 * self.K * complex(w) - self.K
-        sn, cn, dn = _sn_cn_dn(u, self.nome)
+        _, cn, dn = self._sn_cn_dn_at(w)
         return 2 * self.K * cn * dn
 
 

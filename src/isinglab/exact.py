@@ -504,17 +504,14 @@ class _Transport:
         w = rotation_vertex(c1, c2)
         e = step_crossed_edge(c1, c2)
         self.chi *= phase_step_sign(c1, c2)
+        if e in self.cover.cut:
+            self.lift ^= 1
         if is_primal(w):
             u1, u2 = (2 * c1[0] - w[0], 2 * c1[1] - w[1]), \
                      (2 * c2[0] - w[0], 2 * c2[1] - w[1])
             self.gamma.symmetric_difference_update({edge_key(u1, u2)})
-            if e in self.cover.cut_primal:
-                self.lift ^= 1
-        else:
-            if e in self.gamma:
-                self.chi = -self.chi
-            if e in self.cover.cut_dual:
-                self.lift ^= 1
+        elif e in self.gamma:
+            self.chi = -self.chi
 
     @property
     def sign(self) -> int:
@@ -708,8 +705,7 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
 
 def _mixed_via_fermions(domain, content: MixedContent, en, z) -> float:
     corners, vertices = content.total_corners(domain)
-    cover = DoubleCover(domain, ram_primal=frozenset(reduce_mod2(vertices)))
-    cover = _with_cut(domain, cover)
+    cover = make_cover(domain, vertices)
     F = fermion_multipoint(domain, cover, corners)
     spin_corr = en.sums([reduce_mod2(vertices)])[0] / z
     eta_prod = complex(1.0)
@@ -717,11 +713,3 @@ def _mixed_via_fermions(domain, content: MixedContent, en, z) -> float:
         eta_prod *= corner_phase(_as_corner(c))
     val = F * spin_corr / eta_prod
     return val.real
-
-
-def _with_cut(domain, cover: DoubleCover) -> DoubleCover:
-    pts = sorted(cover.ram_primal)
-    if not pts:
-        return cover
-    return make_cover(domain, pts)
-

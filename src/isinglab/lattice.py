@@ -603,20 +603,24 @@ def _prune_pinches(verts: set[Coord]) -> set[Coord]:
 class DoubleCover:
     """Ramification data plus an explicit branch cut.
 
-    Covers ramified at dual vertices carry a cut of dual edges; covers
-    ramified at primal vertices carry a cut of primal edges (whose mod-2
-    boundary in the respective graph is the ramification set).
+    The cut holds dual edges pairing the dual ramification points and
+    primal edges pairing the primal ones: its mod-2 boundary in each graph
+    is that graph's ramification set.  A primal and a dual edge never
+    coincide, so one set holds both.
     """
 
     domain: MeshDomain
     ram_primal: frozenset[Coord] = frozenset()
     ram_dual: frozenset[Coord] = frozenset()
-    cut_primal: frozenset[Edge] = frozenset()
-    cut_dual: frozenset[Edge] = frozenset()
+    cut: frozenset[Edge] = frozenset()
 
     def boundary_mod2(self, which: str) -> set[Coord]:
-        cut = self.cut_primal if which == "primal" else self.cut_dual
-        return set(reduce_mod2(x for e in cut for x in e))
+        ends = reduce_mod2(x for e in self.cut for x in e)
+        return {x for x in ends if is_primal(x) == (which == "primal")}
+
+    def crosses(self, c1: Coord, c2: Coord) -> bool:
+        """Whether the corner step c1 -> c2 crosses the branch cut."""
+        return step_crossed_edge(c1, c2) in self.cut
 
 
 def make_cover(domain: MeshDomain, points) -> DoubleCover:
@@ -683,7 +687,7 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
         else:
             raise ValueError("outer boundary face has no outward dual edge")
     return DoubleCover(domain, frozenset(prim), frozenset(dual),
-                       frozenset(cut_p), frozenset(cut_d))
+                       frozenset(cut_p | cut_d))
 
 
 def sheet_sign(cover: DoubleCover, path: list[Coord]) -> int:
@@ -695,8 +699,7 @@ def sheet_sign(cover: DoubleCover, path: list[Coord]) -> int:
             raise ValueError("path must consist of corners")
         if abs(c1[0] - c2[0]) != 1 or abs(c1[1] - c2[1]) != 1:
             raise ValueError(f"not a corner step: {c1} -> {c2}")
-        e = step_crossed_edge(c1, c2)
-        if e in cover.cut_primal or e in cover.cut_dual:
+        if cover.crosses(c1, c2):
             sign = -sign
     return sign
 

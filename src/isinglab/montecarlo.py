@@ -59,8 +59,9 @@ class CouplingGraph:
 
 def build_graph(domain: MeshDomain,
                 pm: PMBoundarySpec | None = None) -> CouplingGraph:
-    labels = (pm.edge_labels(domain) if pm is not None
-              else dict.fromkeys(domain.sides, FREE))
+    """The coupling graph under the plus/minus/free labels of pm, or under
+    the domain's own wired/free labels when pm is None."""
+    labels = pm.edge_labels(domain) if pm is not None else domain.edge_label
     index = dict(domain.vertex_index)
     n_interior = len(index)
 

@@ -31,7 +31,7 @@ from .lattice import (
     CORNER_STEPS, FREE, WIRED, CornerPoint, DoubleCover, MeshDomain,
     base_phase, base_phases, bfs, bfs_path, codes, corner_neighbors,
     edge_codes, edge_key, lookup, neighbors_in, phase_step_sign,
-    step_crossed_edge, transport_side,
+    transport_side,
 )
 
 _CYC = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -80,8 +80,7 @@ def _path_sign(path, cover: DoubleCover) -> int:
     s = 1
     for a, b in zip(path, path[1:]):
         s *= phase_step_sign(a, b)
-        e = step_crossed_edge(a, b)
-        if e in cover.cut_primal or e in cover.cut_dual:
+        if cover.crosses(a, b):
             s = -s
     return s
 
@@ -165,8 +164,7 @@ def stencil_signs(domain: MeshDomain, cover: DoubleCover, e):
     signs = {n: 1}
     a = 1
     for c1, c2 in ((n, east), (east, s), (s, west)):
-        ek = step_crossed_edge(c1, c2)
-        if ek in cover.cut_primal or ek in cover.cut_dual:
+        if cover.crosses(c1, c2):
             a = -a
         signs[c2] = a
     return (n, east, s, west), signs
@@ -273,8 +271,7 @@ def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
     corners, keys = domain.corner_xy[kept], keys[kept]
     mids = domain.shol_edge_xy.sum(axis=1) // 2
     quad = mids[:, None, :] + _STENCIL          # (edges, 4, 2): N, E, S, W
-    cut = np.array(list(cover.cut_primal | cover.cut_dual),
-                   dtype=np.int64).reshape(-1, 2, 2)
+    cut = np.array(list(cover.cut), dtype=np.int64).reshape(-1, 2, 2)
     flips = np.isin(_crossed_edge_codes(quad[:, :3], quad[:, 1:]),
                     edge_codes(cut[:, 0], cut[:, 1]))
     steps = np.where(flips, -1, 1)
@@ -607,10 +604,7 @@ def _section_flip(c1, c2, cover: DoubleCover, u) -> int:
     """Sign change of the single-valued section of field * Q_u along a
     corner step: flips across the cover's branch cut and across the
     south ray of u (where Q's stored section is discontinuous)."""
-    s = 1
-    e = step_crossed_edge(c1, c2)
-    if e in cover.cut_primal or e in cover.cut_dual:
-        s = -s
+    s = -1 if cover.crosses(c1, c2) else 1
     for on_ray, other in ((c1, c2), (c2, c1)):
         if on_ray[0] == u[0] and on_ray[1] < u[1] and other[0] == u[0] - 1:
             s = -s

@@ -186,15 +186,49 @@ def test_annulus_magnetization():
 
 def test_annulus_fermion_kernels():
     p = math.log(2)
-    bc = AnnulusBC(p)
     w = 0.8 * cmath.exp(0.5j)
-    for d in (1e-3, 1e-5):
-        z = w * (1 + d)
-        assert (z - w) * ann_fermion(bc, z, w, "f") == pytest.approx(
-            2.0, rel=5e-3 if d == 1e-3 else 5e-5)
-    z = 0.65 * cmath.exp(1.7j)
-    assert ann_fermion(bc, z, w, "f") == pytest.approx(
-        -ann_fermion(bc, w, z, "f"), rel=1e-12)
+    # wired/wired directly, free/wired through the inversion to wired/free
+    for bc in (AnnulusBC(p), AnnulusBC(p, "free", "wired")):
+        for d in (1e-3, 1e-5):
+            z = w * (1 + d)
+            assert (z - w) * ann_fermion(bc, z, w, "f") == pytest.approx(
+                2.0, rel=5e-3 if d == 1e-3 else 5e-5)
+        z = 0.65 * cmath.exp(1.7j)
+        assert ann_fermion(bc, z, w, "f") == pytest.approx(
+            -ann_fermion(bc, w, z, "f"), rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda kind: hp_fermion("wired", 1j, 2j, kind),
+    lambda kind: hp_fermion("spin", 1j, 2j, kind, v=0.5 + 1j),
+    lambda kind: hp_fermion("free_arc", 1j, 2j, kind, arc=(-1.0, 1.0)),
+    lambda kind: ann_fermion(AnnulusBC(1.0, "wired", "wired"), 0.8, 0.7j,
+                             kind),
+    lambda kind: ann_fermion(AnnulusBC(1.0, "wired", "free"), 0.8, 0.7j,
+                             kind),
+    lambda kind: ann_fermion(AnnulusBC(1.0, "free", "wired"), 0.8, 0.7j,
+                             kind),
+], ids=["hp-wired", "hp-spin", "hp-free_arc", "ann-wired-wired",
+        "ann-wired-free", "ann-free-wired"])
+def test_unknown_kernel_kind_is_refused(kernel):
+    with pytest.raises(ContinuumError, match="'bogus'"):
+        kernel("bogus")
+
+
+_FLIP = {"plus": "minus", "minus": "plus"}
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ("free", "plus"), ("wired", "plus"), ("plus", "free"), ("plus", "wired"),
+    ("plus", "plus"), ("plus", "minus")])
+def test_annulus_magnetization_global_flip(outer, inner):
+    """Flipping every fixed label flips the sign of the magnetization."""
+    p = math.log(2)
+    bc = AnnulusBC(p, outer, inner)
+    flipped = AnnulusBC(p, _FLIP.get(outer, outer), _FLIP.get(inner, inner))
+    for v in (0.6, 0.75 * cmath.exp(1.1j), 0.9):
+        assert ann_sigma(flipped, v) == pytest.approx(-ann_sigma(bc, v),
+                                                      rel=1e-14)
 
 
 def _loop_monodromy(kernel, z, n_steps=720):

@@ -83,6 +83,9 @@ def test_jacobi_residue_and_oddness():
     assert jacobi("ns", -z, p) == pytest.approx(-jacobi("ns", z, p), rel=1e-13)
     with pytest.raises(EllipticError):
         jacobi("sn", z, p)
+    for kind in ("ns", "ds", "cs"):
+        with pytest.raises(EllipticError, match="pole"):
+            jacobi(kind, 0, p)
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, -3.0])
@@ -138,6 +141,9 @@ def test_rect_map_aspect():
     assert rm.from_rect(1.0) == pytest.approx(1.0, abs=1e-12)
     assert rm.from_rect(0.0) == pytest.approx(-1.0, abs=1e-12)
     assert rm.from_rect(1.0 + 0.5j) == pytest.approx(1.0 / rm.k, rel=1e-10)
+    # the centre of the bottom side, where theta_1 vanishes, is regular
+    assert rm.from_rect(0.5) == 0
+    assert rm.from_rect_deriv(0.5) == pytest.approx(2 * rm.K, rel=1e-14)
 
 
 def test_constants():

@@ -64,14 +64,14 @@ def test_annulus_topology_and_modulus():
 def test_make_cover_trivial_and_adjacent():
     d = build_rectangle(1.0, 4, 4)
     cov = make_cover(d, [])
-    assert not cov.cut_dual and not cov.cut_primal
+    assert not cov.cut
     us = sorted(d.duals)
     u1 = next(u for u in us if all(
         (u[0] + s[0], u[1] + s[1]) in d.vertices for s in AXIS_STEPS))
     u2 = (u1[0] + 2, u1[1] + 2)
     if u2 in d.duals:
         cov2 = make_cover(d, [u1, u2])
-        assert cov2.cut_dual == frozenset({edge_key(u1, u2)})
+        assert cov2.cut == frozenset({edge_key(u1, u2)})
 
 
 def test_make_cover_parity_scan():

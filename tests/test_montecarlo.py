@@ -298,3 +298,16 @@ def test_autocorrelation_reported():
         size=4000)
     tau = integrated_autocorrelation(x)
     assert tau > 0.5
+
+
+@pytest.mark.parametrize("arcs", ["wired", [("wired", 8), ("free", 8)]],
+                         ids=["wired", "free-arc"])
+def test_no_pm_spec_samples_the_domains_own_labels(arcs):
+    """Without a plus/minus spec the chain runs under the domain's wired
+    and free arcs, as the exact sums do."""
+    dom = build_rectangle(1.0, 4, 4, arcs)
+    vv = sorted(dom.vertices)
+    pair = [vv[0], vv[-1]]
+    ex = corr_spin(dom, pair)
+    est = estimate(dom, None, ("spin_product", pair), 500, 8000, seed=30)
+    assert abs(est.mean - ex) <= 3 * est.stderr
