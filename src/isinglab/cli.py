@@ -264,7 +264,8 @@ def _square_observable_error(n_lattice: int, z1_frac, z2_frac):
     c1, c2 = _probe_corners(dom, to_unit,
                             [complex(*z1_frac), complex(*z2_frac)])
     sol = sholo.solve_observable(dom, cov, c1)
-    F = sol.observable()[c2]
+    # the observable F(c1, c2), read without building the whole field
+    F = lattice.base_phase(c1) * sol.value(c2)
     delta_eff = 1.0 / side
 
     w1, w2 = to_unit(dom.position(c1)), to_unit(dom.position(c2))

@@ -81,6 +81,9 @@ class AnnulusBC:
     def __post_init__(self):
         if self.p <= 0:
             raise ContinuumError("annulus modulus must be positive")
+        labels = (self.outer, self.inner)
+        if set(labels) - {"wired", "free", "plus", "minus"}:
+            raise ContinuumError(f"unknown annulus labels {labels}")
 
 
 # -- half-plane sign sums -------------------------------------------------------
@@ -174,9 +177,9 @@ def hp_spin_disorder(bc: HalfPlaneBC, spins, disorders):
     spins = [complex(v) for v in spins]
     disorders = [complex(u) for u in disorders]
     n, m = len(spins), len(disorders)
+    pairs = hp_pairs(bc, spins, disorders)
     if m == 0 and n % 2 == 1 and not bc.fixed_is_plus:
         return 0.0
-    pairs = hp_pairs(bc, spins, disorders)
     logs = _chi_logs(pairs, bc.q)
     q = bc.q
     num = _sign_sum(logs, signed_tail=m)
@@ -280,8 +283,7 @@ def ann_sigma(bc: AnnulusBC, v: complex) -> float:
     if not (math.exp(-p) < r < 1.0):
         raise ContinuumError("point outside the annulus")
     outer, inner = bc.outer, bc.inner
-    if ({outer, inner} - {"plus", "minus", "wired", "free"}
-            or outer == inner == "wired"):
+    if outer == inner == "wired":
         raise ContinuumError(f"unsupported annulus labels {(outer, inner)}")
     if inner in _FIXED_SIGN:
         if outer in _FIXED_SIGN:
@@ -332,6 +334,9 @@ def ann_fermion(bc: AnnulusBC, z: complex, w: complex, kind: str = "f",
     if kind not in ("f", "fstar"):
         raise ContinuumError(f"unknown kernel kind {kind!r}")
     if with_spins:
+        if "free" in labels:
+            raise ContinuumError("the boundary-spin pair needs two fixed "
+                                 f"circles, got {labels}")
         fun = "ns"
     elif labels == ("wired", "wired"):
         fun = "ds"

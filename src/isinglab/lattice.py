@@ -533,14 +533,11 @@ def build_rectangle(delta: float, width: int, height: int,
     """
     if width < 2 or height < 2:
         raise ValueError("rectangle needs width, height >= 2")
-    lattice_map = {}
-    verts = set()
-    for m in range(width):
-        for n in range(height):
-            c = (2 * (m - n), 2 * (m + n))
-            lattice_map[(m, n)] = c
-            verts.add(c)
-    return MeshDomain(delta, verts, [arc_spec], lattice_map=lattice_map)
+    m, n = np.divmod(np.arange(width * height), height)
+    xy = np.stack([2 * (m - n), 2 * (m + n)], axis=1)
+    verts = list(_points(xy))
+    lattice_map = dict(zip(zip(m.tolist(), n.tolist()), verts))
+    return MeshDomain(delta, set(verts), [arc_spec], lattice_map=lattice_map)
 
 
 def build_annulus(delta: float, outer_radius: float, inner_radius: float,

@@ -194,9 +194,15 @@ def wolff_update(state: MCState) -> int:
         cand = cand[open_[cand]]
         if not len(cand):
             break
-        cand = np.unique(cand[state.rng.random(len(cand)) < P_ADD])
+        cand = cand[state.rng.random(len(cand)) < P_ADD]
         if not len(cand):
             break
+        # np.unique, without its overhead on a few dozen candidates
+        cand.sort()
+        first = np.empty(len(cand), dtype=bool)
+        first[0] = True
+        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        cand = cand[first]
         open_[cand] = False
         # frozen sites are numbered last, and cand is sorted
         if cand[-1] >= g.n_free:

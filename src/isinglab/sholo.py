@@ -24,6 +24,7 @@ import cmath
 import importlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,28 +174,45 @@ def stencil_signs(domain: MeshDomain, cover: DoubleCover, e):
 # -- the solver ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SpinorField:
     """Solution of the discrete boundary-value problem.
 
-    values[c] is the spinor on the base sheet; the source corner carries
-    the split pair (+normalization, -normalization).
+    corners holds the unknown corners (k, 2) in sorted order and spinor
+    their spinor values on the base sheet; the source corner is not among
+    them and carries the split pair (+normalization, -normalization).
     """
 
     domain: MeshDomain
     cover: DoubleCover
     source: CornerPoint
     normalization: complex
-    values: dict
+    corners: np.ndarray
+    spinor: np.ndarray
     residual: float
     shape: tuple[int, int]
+
+    @cached_property
+    def values(self) -> dict:
+        """The spinor as a dict, corner position to value."""
+        return dict(zip(zip(*self.corners.T.tolist()), self.spinor.tolist()))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return codes(self.corners)
 
     @property
     def source_values(self):
         return (self.normalization, -self.normalization)
 
     def value(self, c, sheet: int = 0) -> complex:
-        v = self.values[tuple(c)]
+        """The spinor at the corner c on the given sheet; KeyError for a
+        corner outside the field."""
+        c = tuple(c)
+        pos, _ = lookup(self._keys, codes(np.array(c)))
+        if tuple(self.corners[pos].tolist()) != c:
+            raise KeyError(c)
+        v = complex(self.spinor[pos])
         return -v if sheet else v
 
     def observable(self) -> dict:
@@ -207,8 +225,9 @@ class SpinorField:
         return out
 
     def csv_rows(self):
-        return [(c[0], c[1], 0, v.real, v.imag)
-                for c, v in sorted(self.values.items())]
+        x, y = self.corners.T.tolist()
+        return [(cx, cy, 0, v.real, v.imag)
+                for cx, cy, v in zip(x, y, self.spinor.tolist())]
 
 
 def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
@@ -236,10 +255,9 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
     if res > residual_tol * max(nb, 1e-30):
         raise SolveError(
             f"residual {res:.3e} exceeds {residual_tol} * |rhs| ({nb:.3e})")
-    values = dict(zip(zip(*unknowns.T.tolist()),
-                      (x * base_phases(unknowns)).tolist()))
-    return SpinorField(domain, cover, src, eta_pin, values,
-                       res / max(nb, 1e-300), A.shape)
+    return SpinorField(domain, cover, src, eta_pin, unknowns,
+                       x * base_phases(unknowns), res / max(nb, 1e-300),
+                       A.shape)
 
 
 # Stencil corners N, E, S, W around an edge midpoint, with the signs of the
@@ -271,11 +289,14 @@ def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
     corners, keys = domain.corner_xy[kept], keys[kept]
     mids = domain.shol_edge_xy.sum(axis=1) // 2
     quad = mids[:, None, :] + _STENCIL          # (edges, 4, 2): N, E, S, W
-    cut = np.array(list(cover.cut), dtype=np.int64).reshape(-1, 2, 2)
-    flips = np.isin(_crossed_edge_codes(quad[:, :3], quad[:, 1:]),
-                    edge_codes(cut[:, 0], cut[:, 1]))
-    steps = np.where(flips, -1, 1)
-    sheet = np.cumprod(np.hstack([np.ones_like(steps[:, :1]), steps]), axis=1)
+    # relative sheet of each stencil corner; with no cut every step
+    # stays on its sheet
+    sheet = np.ones(quad.shape[:2], dtype=np.int64)
+    if cover.cut:
+        cut = np.array(list(cover.cut), dtype=np.int64).reshape(-1, 2, 2)
+        flips = np.isin(_crossed_edge_codes(quad[:, :3], quad[:, 1:]),
+                        edge_codes(cut[:, 0], cut[:, 1]))
+        sheet[:, 1:] = np.cumprod(np.where(flips, -1, 1), axis=1)
     coef = (_STENCIL_PM * sheet) * base_phases(quad)
     cols, found = lookup(keys, codes(quad))
     rhs = np.zeros(len(quad), dtype=complex)

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import isinglab
-from isinglab import cli, montecarlo
+from isinglab import cli, montecarlo, sholo
 from isinglab.cli import main
-from isinglab.lattice import (PMBoundarySpec, build_annulus, build_rectangle,
-                              corner_neighbors)
+from isinglab.lattice import (PMBoundarySpec, base_phase, build_annulus,
+                              build_rectangle, corner_neighbors)
 
 
 def run(args):
@@ -98,8 +98,11 @@ def test_converge_square_small_ladder(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("pair", [((0.32, 0.48), (0.67, 0.55)),
-                                  ((0.45, 0.72), (0.72, 0.68))])
+# The probe pairs of converge-square and acceptance criterion 4.
+_PROBE_PAIRS = [((0.32, 0.48), (0.67, 0.55)), ((0.45, 0.72), (0.72, 0.68))]
+
+
+@pytest.mark.parametrize("pair", _PROBE_PAIRS)
 def test_probe_corners_match_a_scan_of_the_corners(pair):
     """converge-square's probes: the first, in sorted order, of the nearest
     x-odd corners whose vertex is in the domain, along the whole ladder."""
@@ -113,6 +116,32 @@ def test_probe_corners_match_a_scan_of_the_corners(pair):
         want = [min(corners, key=lambda c: abs(to_unit(dom.position(c)) - t))
                 for t in targets]
         assert cli._probe_corners(dom, to_unit, targets) == want
+
+
+@pytest.mark.parametrize("pair", _PROBE_PAIRS)
+def test_square_error_reads_the_observable_at_the_probe(monkeypatch, pair):
+    """At 1/delta = 64 (n = 46), F(c1, c2) read as base_phase(c1) *
+    value(c2) is the observable dict's entry, and the error and scale are
+    those of the dict route."""
+    solved, read = [], []
+    solve, value = sholo.solve_observable, sholo.SpinorField.value
+
+    def keep_solution(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    def keep_corner(self, c, sheet=0):
+        read.append(c)
+        return value(self, c, sheet)
+    monkeypatch.setattr(sholo, "solve_observable", keep_solution)
+    monkeypatch.setattr(sholo.SpinorField, "value", keep_corner)
+    got = cli._square_observable_error(46, *pair)
+    (sol,), (c2,) = solved, read
+    assert base_phase(sol.source.pos) * value(sol, c2) == \
+        sol.observable()[c2]
+    monkeypatch.setattr(sholo.SpinorField, "value",
+                        lambda self, c, sheet=0: self.values[c])
+    assert cli._square_observable_error(46, *pair) == got
 
 
 def _write_cfg(tmp_path, cfg):

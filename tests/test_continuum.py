@@ -38,6 +38,13 @@ def test_hp_spin_two_point_closed_form():
         2 ** 0.125, rel=1e-14)
 
 
+def test_odd_spin_count_still_checks_its_points():
+    """The odd-count zero is returned only for points in the half-plane."""
+    for spins in ([-1j], [1j, 2j, 0.5 - 1j]):
+        with pytest.raises(ContinuumError, match="open half-plane"):
+            hp_spin(HalfPlaneBC(), spins)
+
+
 def test_hp_spin_short_distance_normalization():
     bc = HalfPlaneBC()
     rest = [1 + 1j, 1.5 + 0.8j]
@@ -213,6 +220,22 @@ def test_annulus_fermion_kernels():
 def test_unknown_kernel_kind_is_refused(kernel):
     with pytest.raises(ContinuumError, match="'bogus'"):
         kernel("bogus")
+
+
+@pytest.mark.parametrize("outer, inner", [("bogus", "plus"),
+                                          ("wired", "Free")])
+def test_unknown_annulus_label_is_refused(outer, inner):
+    with pytest.raises(ContinuumError, match="unknown annulus labels"):
+        AnnulusBC(1.0, outer, inner)
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ("free", "plus"), ("plus", "free"), ("wired", "free"), ("free", "wired"),
+    ("free", "free")])
+def test_boundary_spin_pair_refuses_a_free_circle(outer, inner):
+    with pytest.raises(ContinuumError, match="two fixed circles"):
+        ann_fermion(AnnulusBC(1.0, outer, inner), 0.8, 0.6j, "f",
+                    with_spins=True)
 
 
 _FLIP = {"plus": "minus", "minus": "plus"}

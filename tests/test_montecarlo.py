@@ -8,7 +8,7 @@ from isinglab.lattice import (FREE, MeshDomain, PMBoundarySpec,
                               build_annulus, build_rectangle, crossing_edge,
                               edge_key)
 from isinglab.montecarlo import (
-    MCState, MonteCarloError, build_graph, estimate, estimates,
+    P_ADD, MCState, MonteCarloError, build_graph, estimate, estimates,
     integrated_autocorrelation, metropolis_sweep, wolff_update,
 )
 
@@ -110,6 +110,70 @@ def test_estimates_equal_estimate_on_a_dobrushin_square():
                                        ("spin_product", [vv[5], vv[10]])],
                              125, 1000, 7, n_bins=40)
     assert ests[0].rejection_rate > 0.5      # frozen-site rejections
+
+
+def _reference_wolff_update(state):
+    """wolff_update as it was written with np.unique for each layer's
+    dedupe; the library's sort-and-mask dedupe must match it draw for
+    draw."""
+    g = state.graph
+    indptr, other = g.edge_csr
+    seed = int(state.rng.integers(0, g.n_free))
+    spin0 = state.spins[seed]
+    same = state.spins == spin0
+    open_ = same.copy()
+    open_[seed] = False
+    frontier = np.array([seed], dtype=np.int64)
+    while True:
+        if frontier[-1] < g.n_interior:
+            cand = g.neighbors[frontier].ravel()
+        else:
+            starts = indptr[frontier]
+            lens = indptr[frontier + 1] - starts
+            offs = np.cumsum(lens)
+            cand = other[np.arange(offs[-1])
+                         + np.repeat(starts - offs + lens, lens)]
+        cand = cand[open_[cand]]
+        if not len(cand):
+            break
+        cand = np.unique(cand[state.rng.random(len(cand)) < P_ADD])
+        if not len(cand):
+            break
+        open_[cand] = False
+        if cand[-1] >= g.n_free:
+            state.n_updates += 1
+            state.n_rejected += 1
+            return 0
+        frontier = cand
+    state.n_updates += 1
+    members = same & ~open_
+    state.spins[members] = -spin0
+    return int(np.count_nonzero(members))
+
+
+@pytest.mark.parametrize("outer", [
+    None, 32.0, pytest.param(128.0, marks=pytest.mark.slow)],
+    ids=["dobrushin", "annulus64", "criterion5_annulus"])
+def test_wolff_update_matches_the_unique_reference(outer):
+    """Frozen sites on a Dobrushin square; a plus mega-site on the annuli
+    of the mc workload and of criterion 5."""
+    if outer is None:
+        dom = build_rectangle(1.0, 4, 4)
+        pm = PMBoundarySpec([[("minus", 3), ("plus", 8), ("minus", 5)]])
+    else:
+        dom = build_annulus(1.0, outer, outer / 2)
+        pm = PMBoundarySpec([[(lab, len(dom.loop_edges(loop)))]
+                             for loop, lab in zip(dom.boundary_loops,
+                                                  ("free", "plus"))])
+    graph = build_graph(dom, pm)
+    new, ref = MCState(graph, 3), MCState(graph, 3)
+    sizes = [(wolff_update(new), _reference_wolff_update(ref))
+             for _ in range(2000)]
+    assert [a for a, _ in sizes] == [b for _, b in sizes]
+    assert np.array_equal(new.spins, ref.spins)
+    assert (new.n_updates, new.n_rejected) == (ref.n_updates,
+                                               ref.n_rejected)
+    assert (new.n_rejected > 1000) == (outer is None)
 
 
 def _reference_graph(dom, pm):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -154,6 +155,37 @@ def test_square_solve_matches_dense_least_squares(make):
     assert sol.shape == A.shape
     assert sol.residual < 1e-12
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+_ARRAY_FIELDS = {
+    "wired6": lambda: (build_rectangle(1.0, 6, 6), []),
+    "arc_ramified8": lambda: (
+        build_rectangle(1.0, 8, 8, [(WIRED, 5), (FREE, 9), (WIRED, 18)]),
+        [(6, 14), (-2, 18)]),
+    "square8-square2": lambda: (MeshDomain(1.0, square(8) - square(2)), []),
+}
+
+
+@pytest.mark.parametrize("make", list(_ARRAY_FIELDS.values()),
+                         ids=list(_ARRAY_FIELDS))
+def test_field_arrays_read_as_the_values_dict(make):
+    """value() and csv_rows() read the arrays; values builds the dict."""
+    dom, ram = make()
+    cov = make_cover(dom, ram)
+    sol = solve_observable(dom, cov, inner_corner(dom, avoid=set(ram)))
+    assert len(sol.values) == len(sol.corners) == len(dom.corners) - 1
+    for c, v in sol.values.items():
+        assert sol.value(c) == v and sol.value(c, sheet=1) == -v
+    assert sol.csv_rows() == [(c[0], c[1], 0, v.real, v.imag)
+                              for c, v in sorted(sol.values.items())]
+    x, y = sol.corners[0].tolist()
+    top = max(dom.corners)
+    # the source, a vertex, a corner past the domain, and a corner whose
+    # grid code equals that of the first corner
+    for c in (sol.source.pos, min(dom.vertices), (top[0] + 2, top[1]),
+              (x - 1, y + 2 ** 21)):
+        with pytest.raises(KeyError):
+            sol.value(c)
 
 
 def _arc_spec(w, h, runs):
@@ -344,8 +376,8 @@ def test_zero_field_H_constant():
     cov = make_cover(dom, [])
     src = inner_corner(dom)
     sol = solve_observable(dom, cov, src)
-    zero = type(sol)(sol.domain, sol.cover, sol.source, 0.0,
-                     {c: 0.0 for c in sol.values}, 0.0, sol.shape)
+    zero = dataclasses.replace(sol, normalization=0.0,
+                               spinor=np.zeros_like(sol.spinor))
     H, closed, jump = integrate_H(zero)
     assert closed == 0.0 and jump == 0.0
     assert max(abs(x) for x in H.values()) == 0.0
@@ -384,7 +416,7 @@ def test_cauchy_zero_field():
     cov = make_cover(dom, [center, vv[1]])
     src = inner_corner(dom, avoid={center, vv[1]})
     sol = solve_observable(dom, cov, src)
-    zero = type(sol)(sol.domain, sol.cover, sol.source, 0.0,
-                     {c: 0.0 for c in sol.values}, 0.0, sol.shape)
+    zero = dataclasses.replace(sol, normalization=0.0,
+                               spinor=np.zeros_like(sol.spinor))
     u = (center[0] + 2, center[1])
     assert cauchy_recover(zero, center, u, radius=2) == 0
