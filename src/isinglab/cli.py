@@ -292,6 +292,9 @@ def cmd_converge_square(cfg) -> int:
     ladder = cfg.get("mesh_ladder", [16, 32, 64, 128])
     z1 = cfg.get("z1", (0.32, 0.48))
     z2 = cfg.get("z2", (0.67, 0.55))
+    for name, z in (("z1", z1), ("z2", z2)):
+        if len(z) != 2 or not all(0 < t < 1 for t in z):
+            raise ValueError(f"{name} {z} is not inside the unit square")
     rows = []
     errs = []
     for over_delta in ladder:
@@ -446,6 +449,12 @@ def cmd_fusion(cfg) -> int:
     return 0 if ok else 1
 
 
+def _mesh_ladder(text: str) -> list[int]:
+    """The --mesh-ladder list; as an argparse type, a bad entry is a usage
+    error."""
+    return [int(x) for x in text.split(",")]
+
+
 COMMANDS = {
     "exact-check": cmd_exact_check,
     "bvp": cmd_bvp,
@@ -465,7 +474,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--mesh-ladder", help="comma-separated 1/delta list")
+    parser.add_argument("--mesh-ladder", type=_mesh_ladder,
+                        help="comma-separated 1/delta list")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--size", type=int)
@@ -481,9 +491,11 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as ex:
-            print(f"bad config: {ex}", file=sys.stderr)
+                cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as ex:
+            print(f"error: bad config {args.config}: {ex}", file=sys.stderr)
             return 2
     for key in ("seed", "out", "format", "size", "rule", "diameter"):
         val = getattr(args, key)
@@ -492,12 +504,12 @@ def main(argv=None) -> int:
     if args.n_samples is not None:
         cfg["n_samples"] = args.n_samples
     if args.mesh_ladder:
-        cfg["mesh_ladder"] = [int(x) for x in args.mesh_ladder.split(",")]
+        cfg["mesh_ladder"] = args.mesh_ladder
     if args.inject_bug:
         cfg["inject_bug"] = True
     try:
         return COMMANDS[args.command](cfg)
-    except (ValueError, RuntimeError) as ex:
+    except (OSError, ValueError, RuntimeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

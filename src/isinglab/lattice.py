@@ -22,7 +22,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -254,15 +253,16 @@ def base_phase(pos: Coord) -> complex:
     return _ROOT8[PHASE_INDEX[corner_direction(pos)]]
 
 
-# base_phase by corner class (x % 2, (x + y) % 4): a corner's direction
-# depends on its class alone, and x + y is odd at every corner.
-_PHASE_TABLE = np.array([[base_phase((x, r - x)) if r % 2 else np.nan
-                          for r in range(4)] for x in range(2)])
+# base_phase by corner class 4 * (x % 2) + (x + y) % 4: a corner's
+# direction depends on its class alone, and x + y is odd at every corner.
+_PHASE_TABLE = np.array([base_phase((x, r - x)) if r % 2 else np.nan
+                         for x in range(2) for r in range(4)])
 
 
 def base_phases(xy: np.ndarray) -> np.ndarray:
     """base_phase of every corner in an integer array of shape (..., 2)."""
-    return _PHASE_TABLE[xy[..., 0] % 2, xy.sum(-1) % 4]
+    x = xy[..., 0]
+    return _PHASE_TABLE[4 * (x & 1) + ((x + xy[..., 1]) & 3)]
 
 
 def transport_side(source_pos: Coord, target_pos: Coord) -> int:
@@ -290,34 +290,37 @@ def inner_corner(domain: MeshDomain, avoid=()) -> Coord:
 class MeshDomain:
     """A discrete domain: primal vertices, boundary arcs, corner graph.
 
-    Built from the sorted vertex codes: vertex_xy (n, 2) in sorted order;
-    interior_pairs (m, 2), the rows of vertex_xy
-    joined by each interior edge, in sorted edge order; and sides, which
-    maps each boundary dual edge to the (inner, outer) endpoints of the
-    primal edge crossing it, in sorted crossing-edge order.  The rest is
-    derived from these on first use: the sorted arrays corner_xy (k, 2)
-    and shol_edge_xy (s, 2, 2), the vertex_index map, and the geometry as
-    sets (duals, interior_edges, crossing_edges, boundary_edges, corners,
-    shol_edges).
+    The vertices are given as an integer array of shape (n, 2) or as
+    coordinate pairs (a set, say).  Built from their sorted codes:
+    vertex_xy (n, 2) in sorted order; interior_pairs (m, 2), the rows of
+    vertex_xy joined by each interior edge, in sorted edge order; and
+    sides, which maps each boundary dual edge to the (inner, outer)
+    endpoints of the primal edge crossing it, in sorted crossing-edge
+    order.  The rest is derived from these on first use: the sorted arrays
+    corner_xy (k, 2) and shol_edge_xy (s, 2, 2), the vertex_index map, and
+    the geometry as sets (vertices, duals, interior_edges, crossing_edges,
+    corners, shol_edges).
     """
 
-    def __init__(self, delta: float, vertices: set[Coord],
-                 arc_specs=None, lattice_map=None):
-        if not vertices:
-            raise ValueError("empty vertex set")
+    def __init__(self, delta: float, vertices, arc_specs=None):
         self.delta = float(delta)
-        self.vertices = frozenset(vertices)
-        self.lattice_map = lattice_map  # optional (m, n) -> coord for rectangles
-        self._build_graph()
+        self._build_graph(vertices)
         self._build_boundary()
         self._apply_arc_specs(arc_specs)
 
     # -- construction ---------------------------------------------------
 
-    def _build_graph(self):
-        n = len(self.vertices)
-        xy = np.fromiter(chain.from_iterable(self.vertices), np.int64,
-                         2 * n).reshape(n, 2)
+    def _build_graph(self, vertices):
+        xy = np.asarray(vertices if isinstance(vertices, np.ndarray)
+                        else list(vertices))
+        if not xy.size:
+            raise ValueError("empty vertex set")
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"vertices of shape {xy.shape}, not (n, 2)")
+        if xy.dtype.kind not in "iu":
+            raise ValueError(f"vertex coordinates of type {xy.dtype}, "
+                             "not integers")
+        xy = xy.astype(np.int64)
         bad = (xy @ _PRIMAL_TEST % 4).any(axis=1)
         if bad.any():
             raise ValueError(
@@ -328,6 +331,10 @@ class MeshDomain:
         order = keys.argsort()
         xy = self.vertex_xy = xy[order]
         keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            raise ValueError(
+                f"repeated vertex: {tuple(xy[1:][repeated][0].tolist())}")
         pos, inside = lookup(keys, codes(xy[:, None] + _DIAG))
         # an interior edge from its lower endpoint, by the steps (2, -2)
         # and (2, 2) in turn, comes in sorted order
@@ -412,6 +419,10 @@ class MeshDomain:
         return edges[order]
 
     @cached_property
+    def vertices(self) -> frozenset[Coord]:
+        return frozenset(_points(self.vertex_xy))
+
+    @cached_property
     def vertex_index(self) -> dict[Coord, int]:
         return dict(zip(_points(self.vertex_xy), range(len(self.vertex_xy))))
 
@@ -428,10 +439,6 @@ class MeshDomain:
     @cached_property
     def crossing_edges(self) -> set[Edge]:
         return {edge_key(*io) for io in self.sides.values()}
-
-    @cached_property
-    def boundary_edges(self) -> set[Edge]:
-        return set(self.sides)
 
     @cached_property
     def corners(self) -> set[Coord]:
@@ -512,7 +519,7 @@ class MeshDomain:
             loops_runs.append(runs)
         return json.dumps({
             "delta": self.delta,
-            "vertices": sorted(self.vertices),
+            "vertices": self.vertex_xy.tolist(),
             "arc_runs": loops_runs,
         })
 
@@ -520,7 +527,7 @@ class MeshDomain:
     def from_json(cls, text: str) -> "MeshDomain":
         data = json.loads(text)
         specs = [[(lab, n) for lab, n in runs] for runs in data["arc_runs"]]
-        return cls(data["delta"], {tuple(v) for v in data["vertices"]}, specs)
+        return cls(data["delta"], np.array(data["vertices"]), specs)
 
 
 def build_rectangle(delta: float, width: int, height: int,
@@ -535,9 +542,7 @@ def build_rectangle(delta: float, width: int, height: int,
         raise ValueError("rectangle needs width, height >= 2")
     m, n = np.divmod(np.arange(width * height), height)
     xy = np.stack([2 * (m - n), 2 * (m + n)], axis=1)
-    verts = list(_points(xy))
-    lattice_map = dict(zip(zip(m.tolist(), n.tolist()), verts))
-    return MeshDomain(delta, set(verts), [arc_spec], lattice_map=lattice_map)
+    return MeshDomain(delta, xy, [arc_spec])
 
 
 def build_annulus(delta: float, outer_radius: float, inner_radius: float,
@@ -557,10 +562,10 @@ def build_annulus(delta: float, outer_radius: float, inner_radius: float,
         if is_primal((x, y)) and r2i < x * x + y * y < r2o
     }
     verts = _prune_pinches(verts)
-    dom = MeshDomain(delta, verts, None)
+    dom = MeshDomain(delta, verts)
     if len(dom.boundary_loops) != 2:
         raise ValueError("annulus discretization did not produce two loops")
-    dom = MeshDomain(delta, verts, [outer_spec, inner_spec])
+    dom._apply_arc_specs([outer_spec, inner_spec])
     dom.modulus = math.log(outer_radius / inner_radius)
     return dom
 
@@ -629,6 +634,10 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
     odd = reduce_mod2(points)
     prim = [p for p in odd if is_primal(p)]
     dual = [p for p in odd if is_dual(p)]
+    for p in odd:
+        if not (is_primal(p) or is_dual(p)):
+            raise ValueError(
+                f"ramification point is neither a vertex nor a face: {p}")
     for p in prim:
         if p not in domain.vertices:
             raise ValueError(f"ramification vertex outside domain: {p}")

@@ -18,11 +18,24 @@ def run(args):
     return main(args)
 
 
-def test_usage_errors(tmp_path):
-    assert run(["no-such-command"]) == 2
+def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run(["exact-check", "--config", str(bad)]) == 2
+    for args in (["no-such-command"],
+                 ["exact-check", "--config", str(bad)],
+                 ["exact-check", "--config",
+                  _write_cfg(tmp_path, [1, 2], "list.json")],
+                 ["converge-square", "--mesh-ladder", "1.5"],
+                 ["kernels", "--out", str(tmp_path / "missing" / "k.csv")],
+                 ["converge-square", "--mesh-ladder", "16", "--config",
+                  _write_cfg(tmp_path, {"z1": [2.0, 0.5]}, "z1.json")],
+                 ["converge-square", "--mesh-ladder", "16", "--config",
+                  _write_cfg(tmp_path, {"z2": [0.5, 0.0]}, "z2.json")],
+                 # a corner and an edge midpoint are no ramification points
+                 ["bvp", "--size", "4", "--config", _write_cfg(
+                     tmp_path, {"ramification": [[1, 0], [3, 3]]}, "r.json")]):
+        assert run(args) == 2, args
+        assert "error:" in capsys.readouterr().err, args
 
 
 def test_exact_check_passes_and_self_test(tmp_path):
@@ -144,8 +157,8 @@ def test_square_error_reads_the_observable_at_the_probe(monkeypatch, pair):
     assert cli._square_observable_error(46, *pair) == got
 
 
-def _write_cfg(tmp_path, cfg):
-    p = tmp_path / "cfg.json"
+def _write_cfg(tmp_path, cfg, name="cfg.json"):
+    p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
 

@@ -139,7 +139,8 @@ def test_energy_across_a_free_arc_is_refused():
 def test_two_loop_domains():
     rng = random.Random(4)
     rect = build_rectangle(1.0, 5, 4)
-    dom = MeshDomain(1.0, set(rect.vertices) - {rect.lattice_map[(2, 1)]})
+    # lattice coordinates (m, n) = (2, 1) sit at (2(m - n), 2(m + n))
+    dom = MeshDomain(1.0, set(rect.vertices) - {(2, 6)})
     assert len(dom.boundary_loops) == 2
     en = Enumeration(dom)
     assert en.n_free == 21

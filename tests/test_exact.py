@@ -32,7 +32,6 @@ def test_partition_function_transfer_matrix_oracle():
     boundary, written independently of the enumeration machinery."""
     dom = build_rectangle(1.0, 3, 3)
     got = partition_function(dom)
-    lat = dom.lattice_map
     total = 0.0
     rows = list(itertools.product((1, -1), repeat=3))
     for sb in (1, -1):

@@ -4,6 +4,7 @@ construction one vertex at a time, and the breadth-first search that
 
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import bulk_corners, square
@@ -70,7 +71,6 @@ def reference(vertices, specs):
                        for de in wired for u in de}
     ref["shol_edges"] = ref["interior_edges"] | {
         edge_key(*sides[de]) for de in wired}
-    ref["boundary_edges"] = set(sides)
     ref["sides"] = dict(sorted(sides.items(),
                                key=lambda item: edge_key(*item[1])))
     ref["boundary_loops"] = loops
@@ -81,8 +81,7 @@ def reference(vertices, specs):
 def assert_matches_reference(dom, specs):
     ref = reference(dom.vertices, specs)
     for name in ("vertices", "duals", "interior_edges", "crossing_edges",
-                 "boundary_edges", "corners", "shol_edges", "boundary_loops",
-                 "edge_label"):
+                 "corners", "shol_edges", "boundary_loops", "edge_label"):
         assert getattr(dom, name) == ref[name], name
     # the side table, in sorted crossing-edge order
     assert list(dom.sides.items()) == list(ref["sides"].items())
@@ -96,6 +95,17 @@ def assert_matches_reference(dom, specs):
         == sorted(ref["corners"])
     assert [(tuple(a), tuple(b)) for a, b in dom.shol_edge_xy.tolist()] \
         == sorted(ref["shol_edges"])
+    # a set of pairs and a sorted integer array build the same domain
+    from_set = MeshDomain(dom.delta, ref["vertices"], specs)
+    from_array = MeshDomain(dom.delta, np.array(verts), specs)
+    for name in ("vertices", "vertex_index", "duals", "interior_edges",
+                 "crossing_edges", "corners", "shol_edges", "boundary_loops",
+                 "edge_label"):
+        assert getattr(from_array, name) == getattr(from_set, name), name
+    assert list(from_array.sides.items()) == list(from_set.sides.items())
+    for name in ("vertex_xy", "interior_pairs", "corner_xy", "shol_edge_xy"):
+        assert np.array_equal(getattr(from_array, name),
+                              getattr(from_set, name)), name
 
 
 def _loop_length(vertices, k=0):
@@ -138,6 +148,10 @@ def test_json_round_trip_matches_the_reference():
     back = MeshDomain.from_json(dom.to_json())
     assert_matches_reference(back, specs)
     assert back.to_json() == dom.to_json()
+    dom = build_annulus(1.0, 6.0, 3.0, FREE, WIRED)
+    back = MeshDomain.from_json(dom.to_json())
+    assert_matches_reference(back, [FREE, WIRED])
+    assert back.to_json() == dom.to_json()
 
 
 @pytest.mark.parametrize("verts,message", [
@@ -145,6 +159,11 @@ def test_json_round_trip_matches_the_reference():
     ({(0, 0), (1, 1)}, r"not a primal vertex: \(1, 1\)"),
     ({(0, 0), (1 << 20, 0)}, "beyond"),
     ({(0, 0), (0, -(1 << 20))}, "beyond"),
+    # a float coordinate is refused, not truncated to the grid
+    ({(0.4, 0.0), (2, 2), (4, 0), (2, -2)}, "not integers"),
+    (np.array([(0, 0), (2, 2), (0, 0)]), r"repeated vertex: \(0, 0\)"),
+    (np.zeros((2, 3), dtype=int), r"shape \(2, 3\)"),
+    (np.zeros((0, 2), dtype=int), "empty"),
 ])
 def test_vertices_off_the_grid_or_out_of_code_range_are_refused(verts,
                                                                 message):
@@ -170,7 +189,8 @@ def test_bfs_parent_map_in_discovery_order():
 
 def test_bfs_path_is_shortest():
     dom = build_rectangle(1.0, 5, 4)
-    a, b = dom.lattice_map[0, 0], dom.lattice_map[4, 3]
+    # lattice coordinates (0, 0) and (4, 3), at (2(m - n), 2(m + n))
+    a, b = (0, 0), (2, 14)
     path = bfs_path(a, lambda c: neighbors_in(c, DIAG_STEPS, dom.vertices),
                     lambda c: c == b)
     assert path[0] == a and path[-1] == b

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,10 @@ def test_make_cover_outside_rejected():
     d = build_rectangle(1.0, 3, 3)
     with pytest.raises(ValueError):
         make_cover(d, [(998, 998)])
+    # a corner and an edge midpoint are named, not dropped
+    for point in ((1, 0), (3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"face: {point}")):
+            make_cover(d, [point, (2, 2)])
 
 
 def test_sheet_sign_loops():
