@@ -14,6 +14,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 
@@ -436,8 +437,7 @@ def cmd_fusion(cfg) -> int:
                       exponent_err=abs(fit.exponent - 0.25))
         ok = report["exponent_err"] < 1e-3
     else:
-        print(f"unknown fusion rule {rule!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown fusion rule {rule!r}")
     report["pass"] = bool(ok)
     out = cfg.get("out")
     text = json.dumps(report, indent=1, default=str)
@@ -447,6 +447,15 @@ def cmd_fusion(cfg) -> int:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     return 0 if ok else 1
+
+
+def _check_out(path):
+    """Refuse an output path into a missing directory before the command
+    computes; the file itself is opened only when the result is written."""
+    if path not in (None, "-"):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"no directory {folder} for output {path}")
 
 
 def _mesh_ladder(text: str) -> list[int]:
@@ -508,6 +517,7 @@ def main(argv=None) -> int:
     if args.inject_bug:
         cfg["inject_bug"] = True
     try:
+        _check_out(cfg.get("out"))
         return COMMANDS[args.command](cfg)
     except (OSError, ValueError, RuntimeError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -3,16 +3,20 @@
 Partition functions and correlations (spin, disorder, energy, fermionic,
 plus/minus boundary conditions) are computed exactly, at the critical
 coupling BETA_CRIT, by contracting the Boltzmann weight one variable at a
-time over a moving frontier, as in the row transfer matrix.  Complement
-components with wired (unpinned) boundary get one extra binary variable
-each, which joins the frontier first; free arcs are excluded from the
-energy.  A sum costs O(V * 2^w) for a frontier of w variables, so the cost
-limits the domain's width (MAX_FRONTIER variables), not its number of
-spins.  The sums are plain Boltzmann weights in float64, which sets a
-second limit on the number of spins: ln Z grows by about 1 per spin (0.93
-in the bulk, more next to a wired arc) and float64 ends at ln Z = 709, so
-a wired block of more than about 700 free spins overflows.  Both limits
-raise EnumerationError.
+time over a moving frontier, as in the row transfer matrix.  There is one
+boundary assignment, Enumeration(domain, pm=None, mono=False): standard
+boundary conditions are the locally monochromatic ensemble of the domain's
+own labels, each wired arc plus, so every complement component with a
+wired arc gets one extra binary variable, which joins the frontier first;
+a plus/minus/free PMBoundarySpec is pinned, or locally monochromatic with
+mono=True.  Free arcs are excluded from the energy.  A sum costs
+O(V * 2^w) for a frontier of w variables, so the cost limits the domain's
+width (MAX_FRONTIER variables), not its number of spins.  The sums are
+plain Boltzmann weights in float64, which sets a second limit on the
+number of spins: ln Z grows by about 1 per spin (0.93 in the bulk, more
+next to a wired arc) and float64 ends at ln Z = 709, so a wired block of
+more than about 700 free spins overflows.  Both limits raise
+EnumerationError.
 
 Serves as the ground-truth oracle for the solver and Monte Carlo modules.
 """
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    CORNER_STEPS, DIAG_STEPS, FREE, MINUS, PLUS, WIRED, CornerPoint,
-    DoubleCover, MeshDomain, PMBoundarySpec, base_phase, bfs_path,
+    CORNER_STEPS, DIAG_STEPS, FREE, MINUS, PLUS, CornerPoint, DoubleCover,
+    MeshDomain, PMBoundarySpec, base_phase, bfs, bfs_path,
     corner_direction, corner_neighbors, corner_phase, crossing_edge,
     edge_key, is_primal, make_cover, neighbors_in, phase_step_sign,
     reduce_mod2, rotation_vertex, step_crossed_edge, transport_side,
@@ -70,12 +74,13 @@ class _Step:
 class Enumeration:
     """Exact configuration sums for one domain and boundary treatment.
 
-    mode:
-      "standard"  wired arcs monochromatic per complement component (one
-                  unpinned bit each), free arcs decoupled
-      "pinned"    plus/minus arcs frozen to +-1 per a PMBoundarySpec
-      "mono"      locally monochromatic: one bit per component, sign flipped
-                  at each separation point of the PMBoundarySpec
+    pm None: the domain's own labels, the standard boundary conditions.
+      Every wired edge counts as plus, so each complement component with a
+      wired arc is one boundary spin summed through one bit (the locally
+      monochromatic ensemble of those labels); free arcs are decoupled.
+    pm given: its plus/minus arcs are pinned to +-1, or with mono=True
+      locally monochromatic: one bit per component, the spin of its minus
+      arcs opposite to that of its plus arcs.
 
     The energy is reduced once to pair couplings, one-variable fields and a
     constant; each `sums` call contracts a table of shape
@@ -83,15 +88,16 @@ class Enumeration:
     axis that keeps the frontier narrower.
     """
 
-    def __init__(self, domain: MeshDomain, mode: str = "standard",
-                 pm: PMBoundarySpec | None = None):
+    def __init__(self, domain: MeshDomain, pm: PMBoundarySpec | None = None,
+                 mono: bool = False):
         self.domain = domain
-        self.mode = mode
+        self.labels = (domain.edge_label if pm is None
+                       else pm.edge_labels(domain))
         self.vert_index = domain.vertex_index
         verts = list(self.vert_index)
         self.exprs: dict[tuple, _Expr] = {
             v: _Expr(1, i) for v, i in self.vert_index.items()}
-        nbits = self._assign_outer(pm)
+        nbits = self._assign_outer(pinned=pm is not None and not mono)
         self.n_free = len(verts) + nbits
         self._build_edges(verts)
         self._reduce_energy()
@@ -99,59 +105,27 @@ class Enumeration:
 
     # -- boundary assignment -------------------------------------------
 
-    def _assign_outer(self, pm) -> int:
+    def _assign_outer(self, pinned: bool) -> int:
+        """Spin at the outer end of each crossing edge that is not free:
+        +-1 when pinned, else +- one bit per boundary loop that is not all
+        free.  The sign is + on plus and wired edges and - on minus edges,
+        so along a loop it flips where plus meets minus, across a free arc
+        or not."""
         dom = self.domain
-        if self.mode == "standard":
-            self.active_label = dict(dom.edge_label)
-            nbits = 0
-            self.loop_bit: dict[int, int | None] = {}
-            for k, loop in enumerate(dom.boundary_loops):
-                labs = {dom.edge_label[edge_key(*oe)] for oe in dom.loop_edges(loop)}
-                if WIRED in labs:
-                    self.loop_bit[k] = len(dom.vertices) + nbits
-                    nbits += 1
-                else:
-                    self.loop_bit[k] = None
-            for k, loop in enumerate(dom.boundary_loops):
-                for oe in dom.loop_edges(loop):
-                    de = edge_key(*oe)
-                    if dom.edge_label[de] != WIRED:
-                        continue
-                    self._set_outer(de, _Expr(1, self.loop_bit[k]))
-            return nbits
-        if pm is None:
-            raise EnumerationError(f"mode {self.mode!r} needs a PMBoundarySpec")
-        labels = pm.edge_labels(dom)
-        self.active_label = {de: (FREE if lab == FREE else WIRED)
-                             for de, lab in labels.items()}
-        if self.mode == "pinned":
-            for de, lab in labels.items():
-                if lab == PLUS:
-                    self._set_outer(de, _Expr(1, None))
-                elif lab == MINUS:
-                    self._set_outer(de, _Expr(-1, None))
-            return 0
-        if self.mode == "mono":
-            seps = set(pm.separation_points(dom))
-            nbits = 0
-            for loop in dom.boundary_loops:
-                edges = dom.loop_edges(loop)
-                if all(labels[edge_key(*oe)] == FREE for oe in edges):
-                    continue
-                bit = len(dom.vertices) + nbits
+        nbits = 0
+        for loop in dom.boundary_loops:
+            edges = [edge_key(*oe) for oe in dom.loop_edges(loop)]
+            if all(self.labels[de] == FREE for de in edges):
+                continue
+            var = None
+            if not pinned:
+                var = len(dom.vertices) + nbits
                 nbits += 1
-                sign = 1
-                for u0, u1 in edges:
-                    de = edge_key(u0, u1)
-                    if labels[de] != FREE:
-                        self._set_outer(de, _Expr(sign, bit))
-                    if u1 in seps:
-                        sign = -sign
-                if sign != 1:
-                    raise EnumerationError(
-                        "odd number of separation points on a boundary loop")
-            return nbits
-        raise EnumerationError(f"unknown mode {self.mode!r}")
+            for de in edges:
+                if self.labels[de] != FREE:
+                    coef = -1 if self.labels[de] == MINUS else 1
+                    self._set_outer(de, _Expr(coef, var))
+        return nbits
 
     def _set_outer(self, de, expr: _Expr):
         p_out = self.domain.sides[de][1]
@@ -170,7 +144,7 @@ class Enumeration:
             (verts[i], verts[j]): (1, i, j)
             for i, j in dom.interior_pairs.tolist()}
         for de, (vin, vout) in dom.sides.items():
-            if self.active_label[de] == FREE:
+            if self.labels[de] == FREE:
                 continue
             a, b = self.exprs[vin], self.exprs[vout]
             self.edge_terms[edge_key(vin, vout)] = (a.coef * b.coef, a.var,
@@ -337,8 +311,7 @@ def result_record(query: str, value, z: float | None = None,
 
 def partition_function(domain: MeshDomain,
                        pm: PMBoundarySpec | None = None) -> float:
-    mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm)
+    en = Enumeration(domain, pm)
     (z,) = en.sums([()])
     return z
 
@@ -350,8 +323,7 @@ def corr_spin(domain: MeshDomain, vertices,
     spins = reduce_mod2(vertices)
     if pm is None and len(spins) % 2 == 1:
         return 0.0
-    mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm)
+    en = Enumeration(domain, pm)
     num, z = en.sums([spins, ()])
     return num / z
 
@@ -360,8 +332,7 @@ def corr_disorder_spin(domain: MeshDomain, gamma, vertices=(),
                        pm: PMBoundarySpec | None = None) -> float:
     """E[mu_gamma sigma_v1 ... sigma_vn] for an explicit dual-edge cut."""
     spins = reduce_mod2(vertices)
-    mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm)
+    en = Enumeration(domain, pm)
     (num,) = en.sums([spins], gamma=gamma)
     (z,) = en.sums([()])
     return num / z
@@ -373,8 +344,7 @@ def corr_energy(domain: MeshDomain, edges, spins=(),
 
     Repeated edges expand via eps^2 = 3 - 2 sqrt2 sigma sigma.
     """
-    mode = "pinned" if pm is not None else "standard"
-    en = Enumeration(domain, mode, pm)
+    en = Enumeration(domain, pm)
     return _pm_content_value(en, spins, edges)
 
 
@@ -434,15 +404,15 @@ def _pm_content_value(en: Enumeration, spins, energy_edges) -> float:
 
 
 def _pm_direct(domain, pm, spins, energy_edges) -> float:
-    en = Enumeration(domain, "pinned", pm)
+    en = Enumeration(domain, pm)
     return _pm_content_value(en, spins, energy_edges)
 
 
 def _pm_via_mono(domain, pm, spins, energy_edges) -> float:
     """Fourier-Walsh expansion over marked boundary spins in the locally
     monochromatic ensemble."""
-    en = Enumeration(domain, "mono", pm)
-    labels = pm.edge_labels(domain)
+    en = Enumeration(domain, pm, mono=True)
+    labels = en.labels
     marks: list[tuple] = []
     for loop in domain.boundary_loops:
         for oe in domain.loop_edges(loop):
@@ -536,41 +506,26 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
         raise EnumerationError("vanishing spin correlation denominator")
     eta_s = base_phase(src.pos)
     values: dict = {src.pos: (eta_s * eta_s, -eta_s * eta_s)}
-    state0 = _Transport(cover)
-    stack = [(src.pos, state0, True)]
-    seen = {src.pos}
-    order = []
-    states = {}
-    while stack:
-        c, st, is_src = stack.pop()
-        if not is_src:
-            order.append(c)
-            states[c] = st
-        for w in neighbors_in(c, CORNER_STEPS, domain.corners):
-            if w in seen:
-                continue
-            seen.add(w)
-            st2 = st.clone()
-            if is_src:
-                st2.chi *= transport_side(src.pos, w)
-            st2.step(c, w)
-            stack.append((w, st2, False))
-    obs = []
-    for c in order:
-        p, _ = corner_neighbors(c)
-        obs.append(reduce_mod2(ram + (corner_neighbors(src.pos)[0], p)))
-    # one enumeration per distinct cut; group corners by their gamma set
-    groups: dict[frozenset, list[int]] = {}
-    for i, c in enumerate(order):
-        groups.setdefault(frozenset(states[c].gamma), []).append(i)
-    results = [0.0] * len(order)
+    parents = bfs(src.pos, lambda c: neighbors_in(c, CORNER_STEPS,
+                                                  domain.corners))
+    # each corner's state extends its parent's by the step between them
+    states = {src.pos: _Transport(cover)}
+    src_n = corner_neighbors(src.pos)[0]
+    groups: dict[frozenset, list] = {}
+    for c, parent in parents.items():
+        if parent is None:
+            continue
+        st = states[c] = states[parent].clone()
+        if parent == src.pos:
+            st.chi *= transport_side(src.pos, c)
+        st.step(parent, c)
+        groups.setdefault(frozenset(st.gamma), []).append(c)
+    # one enumeration per distinct cut
     for gamma, members in groups.items():
-        vals = en.sums([obs[i] for i in members], gamma=gamma)
-        for i, v in zip(members, vals):
-            results[i] = v
-    for i, c in enumerate(order):
-        st = states[c]
-        values[c] = st.sign * eta_s * base_phase(c) * results[i] / den
+        obs = [reduce_mod2(ram + (src_n, corner_neighbors(c)[0]))
+               for c in members]
+        for c, v in zip(members, en.sums(obs, gamma=gamma)):
+            values[c] = states[c].sign * eta_s * base_phase(c) * v / den
     return values
 
 
@@ -642,7 +597,7 @@ class MixedContent:
         corners = [_as_corner(z) for z in self.fermions]
         for e in self.energies:
             e = edge_key(*e)
-            n_pos, _, s_pos, _, _, _ = domain.stencil(e)
+            n_pos, _, s_pos, _ = domain.stencil(e)
             # the opposite pair whose primal neighbours are the edge endpoints;
             # the corner whose dual sits east of its primal goes first
             first, second = n_pos, s_pos

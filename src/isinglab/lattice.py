@@ -459,19 +459,13 @@ class MeshDomain:
         return complex(c[0], c[1]) * (self.delta / 2.0)
 
     def stencil(self, e: Edge):
-        """Corners (N, E, S, W positions around the midpoint of e) plus the
-        primal and dual diagonals through the midpoint."""
+        """Corners at the N, E, S, W positions around the midpoint of e."""
         m = edge_midpoint(e)
         n = (m[0], m[1] + 1)
         s = (m[0], m[1] - 1)
         east = (m[0] + 1, m[1])
         west = (m[0] - 1, m[1])
-        ce = crossing_edge(e)
-        if is_primal(e[0]):
-            primal_diag, dual_diag = edge_key(*e), ce
-        else:
-            primal_diag, dual_diag = ce, edge_key(*e)
-        return n, east, s, west, primal_diag, dual_diag
+        return n, east, s, west
 
     def free_arcs(self) -> list[list[tuple[Coord, Coord]]]:
         """Maximal runs of free boundary edges, as oriented edge lists."""
@@ -757,15 +751,3 @@ class PMBoundarySpec:
 
     def edge_labels(self, domain: MeshDomain) -> dict[Edge, str]:
         return _run_labels(domain, self.runs, (PLUS, MINUS, FREE), "pm")
-
-    def separation_points(self, domain: MeshDomain) -> list[Coord]:
-        """Dual vertices where the sign changes, counting free arcs as minus."""
-        labels = self.edge_labels(domain)
-        pts = []
-        for loop in domain.boundary_loops:
-            edges = domain.loop_edges(loop)
-            signs = [1 if labels[edge_key(*oe)] == PLUS else -1 for oe in edges]
-            for i in range(len(edges)):
-                if signs[i] != signs[(i + 1) % len(edges)]:
-                    pts.append(edges[i][1])
-        return pts

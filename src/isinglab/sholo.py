@@ -161,7 +161,7 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
 def stencil_signs(domain: MeshDomain, cover: DoubleCover, e):
     """Relative sheet signs of the four corners around the midpoint of e,
     walked N -> E -> S -> W across the cover's branch cut."""
-    n, east, s, west, _, _ = domain.stencil(e)
+    n, east, s, west = domain.stencil(e)
     signs = {n: 1}
     a = 1
     for c1, c2 in ((n, east), (east, s), (s, west)):
@@ -200,10 +200,6 @@ class SpinorField:
     @cached_property
     def _keys(self) -> np.ndarray:
         return codes(self.corners)
-
-    @property
-    def source_values(self):
-        return (self.normalization, -self.normalization)
 
     def value(self, c, sheet: int = 0) -> complex:
         """The spinor at the corner c on the given sheet; KeyError for a
@@ -582,7 +578,7 @@ def integrate_H(f1: SpinorField, f2: SpinorField | None = None):
                 values[other] = hval
     closed = 0.0
     for e in sorted(dom.shol_edges):
-        n, east, s, west, _, _ = dom.stencil(e)
+        n, east, s, west = dom.stencil(e)
         try:
             r = (product(n) * dstep(n) + product(s) * dstep(s)
                  - product(east) * dstep(east) - product(west) * dstep(west))

@@ -27,6 +27,7 @@ def test_usage_errors(tmp_path, capsys):
                   _write_cfg(tmp_path, [1, 2], "list.json")],
                  ["converge-square", "--mesh-ladder", "1.5"],
                  ["kernels", "--out", str(tmp_path / "missing" / "k.csv")],
+                 ["fusion", "--rule", "bogus"],
                  ["converge-square", "--mesh-ladder", "16", "--config",
                   _write_cfg(tmp_path, {"z1": [2.0, 0.5]}, "z1.json")],
                  ["converge-square", "--mesh-ladder", "16", "--config",
@@ -36,6 +37,24 @@ def test_usage_errors(tmp_path, capsys):
                      tmp_path, {"ramification": [[1, 0], [3, 3]]}, "r.json")]):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
+
+
+def test_out_into_a_missing_directory_is_refused_before_computing(
+        tmp_path, monkeypatch, capsys):
+    def computed(*args):
+        raise AssertionError("the command computed before the refusal")
+    monkeypatch.setattr(cli, "_square_observable_error", computed)
+    out = tmp_path / "missing" / "c.csv"
+    assert run(["converge-square", "--mesh-ladder", "64,128",
+                "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
+    # a command that stops before writing leaves an existing file as it is
+    kept = tmp_path / "c.csv"
+    kept.write_text("earlier result\n")
+    cfg = _write_cfg(tmp_path, {"z1": [2.0, 0.5]}, "z1.json")
+    assert run(["converge-square", "--config", cfg, "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier result\n"
 
 
 def test_exact_check_passes_and_self_test(tmp_path):

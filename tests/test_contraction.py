@@ -14,8 +14,8 @@ from isinglab.exact import (BETA_CRIT, Enumeration, EnumerationError,
                             partition_function)
 from isinglab.lattice import (CORNER_STEPS, FREE, WIRED, MeshDomain,
                               PMBoundarySpec, bfs_path, build_annulus,
-                              build_rectangle, inner_corner, make_cover,
-                              neighbors_in)
+                              build_rectangle, edge_key, inner_corner,
+                              make_cover, neighbors_in)
 from isinglab.pfaffian import assemble_multipoint
 from isinglab.sholo import solve_observable
 
@@ -95,12 +95,12 @@ def test_pinned_and_mono_modes():
     dom = build_rectangle(1.0, 3, 3)
     pm = PMBoundarySpec([[("plus", 5), ("free", 2), ("minus", 3),
                           ("plus", 2)]])
-    for mode in ("pinned", "mono"):
-        en = Enumeration(dom, mode, pm)
+    for mono in (False, True):
+        en = Enumeration(dom, pm, mono)
         obs = _spin_sets(dom, rng)
         _assert_matches(en, obs)
         _assert_matches(en, obs, _dual_cut(dom, rng))
-    en = Enumeration(dom, "mono", pm)
+    en = Enumeration(dom, pm, mono=True)
     marks = [p for p, ex in en.exprs.items() if p not in dom.vertices][:2]
     _assert_matches(en, [tuple(marks), (marks[0], sorted(dom.vertices)[4])])
 
@@ -216,6 +216,33 @@ def test_solver_matches_oracle_around_a_hole(labels):
     assert len(dom.boundary_loops) == 2
     cov = make_cover(dom, [])
     assert _field_error(dom, cov, inner_corner(dom)) < 1e-10
+
+
+def _wired_as_plus(dom) -> PMBoundarySpec:
+    """The domain's own labels as plus/free runs: each wired edge plus,
+    each free edge free."""
+    return PMBoundarySpec([
+        [("plus" if dom.edge_label[edge_key(*oe)] == WIRED else "free", 1)
+         for oe in dom.loop_edges(loop)] for loop in dom.boundary_loops])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_rectangle(1.0, 3, 3, [(WIRED, 3), (FREE, 4), (WIRED, 5)]),
+    lambda: MeshDomain(1.0, square(10) - _HOLE_2X2, [WIRED, FREE]),
+], ids=["3x3_free_arc", "square10_hole_wired_free"])
+def test_standard_labels_are_the_monochromatic_ensemble(make):
+    """Standard boundary conditions are the locally monochromatic ensemble
+    of the domain's own labels, term for term and sum for sum."""
+    dom = make()
+    std = Enumeration(dom)
+    mono = Enumeration(dom, _wired_as_plus(dom), mono=True)
+    assert std.exprs == mono.exprs
+    assert std.edge_terms == mono.edge_terms
+    rng = random.Random(4)
+    obs = [()] + _spin_sets(dom, rng)
+    gamma = _dual_cut(dom, rng)
+    assert std.sums(obs) == mono.sums(obs)
+    assert std.sums(obs, gamma) == mono.sums(obs, gamma)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from isinglab.exact import Enumeration
 from isinglab.lattice import (
     AXIS_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, base_phase,
     base_phases, build_annulus, build_rectangle, corner_neighbors,
@@ -159,8 +160,16 @@ def test_json_roundtrip():
 
 
 def test_pm_spec_separation_points():
+    """A plus/minus split of the loop: in the locally monochromatic
+    ensemble every outer spin is one loop bit, whose sign changes exactly
+    twice around the loop."""
     d = build_rectangle(1.0, 4, 4)
-    L = len(d.loop_edges(d.boundary_loops[0]))
+    edges = d.loop_edges(d.boundary_loops[0])
+    L = len(edges)
     pm = PMBoundarySpec([[("plus", L // 2), ("minus", L - L // 2)]])
-    pts = pm.separation_points(d)
-    assert len(pts) % 2 == 0 and len(pts) == 2
+    exprs = Enumeration(d, pm, mono=True).exprs
+    outer = [exprs[d.sides[edge_key(*oe)][1]] for oe in edges]
+    assert {ex.var for ex in outer} == {len(d.vertices)}
+    signs = [ex.coef for ex in outer]
+    assert signs == [1] * (L // 2) + [-1] * (L - L // 2)
+    assert sum(signs[i] != signs[i - 1] for i in range(L)) == 2
