@@ -298,17 +298,6 @@ class Enumeration:
 # -- public correlation functions ----------------------------------------
 
 
-def result_record(query: str, value, z: float | None = None,
-                  bc: str = "standard") -> str:
-    """One JSON-lines record for reproducible result logs (enumeration
-    results carry no seed)."""
-    import json
-    if isinstance(value, complex):
-        value = [value.real, value.imag]
-    return json.dumps({"query": query, "value": value, "Z": z, "bc": bc,
-                       "seedless": True}, sort_keys=True)
-
-
 def partition_function(domain: MeshDomain,
                        pm: PMBoundarySpec | None = None) -> float:
     en = Enumeration(domain, pm)

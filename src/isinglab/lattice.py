@@ -704,23 +704,6 @@ def sheet_sign(cover: DoubleCover, path: list[Coord]) -> int:
     return sign
 
 
-def enclosure_parity(cycle_edges, vertex: Coord) -> int:
-    """Winding parity of a set of grid edges around a grid vertex.
-
-    Counts proper crossings of the horizontal ray to the east of the
-    vertex, with the half-open endpoint convention to avoid degeneracies.
-    """
-    vx, vy = vertex
-    n = 0
-    for e in cycle_edges:
-        (ax, ay), (bx, by) = e
-        if (ay <= vy < by) or (by <= vy < ay):
-            t = (vy - ay) / (by - ay)
-            if ax + t * (bx - ax) > vx:
-                n += 1
-    return n % 2
-
-
 def _run_labels(domain: MeshDomain, runs_per_loop, allowed,
                 kind: str) -> dict[Edge, str]:
     """Label of each boundary dual edge, from one list of (label, count)

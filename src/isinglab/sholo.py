@@ -29,9 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import (
-    CORNER_STEPS, FREE, WIRED, CornerPoint, DoubleCover, MeshDomain,
-    base_phase, base_phases, bfs, bfs_path, codes, corner_neighbors,
-    edge_codes, edge_key, lookup, neighbors_in, phase_step_sign,
+    CORNER_STEPS, WIRED, CornerPoint, DoubleCover, MeshDomain,
+    base_phase, base_phases, bfs, codes, corner_neighbors, edge_codes,
+    edge_key, edge_midpoint, lookup, neighbors_in, phase_step_sign,
     transport_side,
 )
 
@@ -65,13 +65,12 @@ class SolveError(RuntimeError):
 # -- boundary pair relations ------------------------------------------------
 
 
-def _rotation_seq(u, c1, c2, direction):
-    i1 = _CYC.index((c1[0] - u[0], c1[1] - u[1]))
-    i2 = _CYC.index((c2[0] - u[0], c2[1] - u[1]))
+def _rotation_seq(u, c1, c2):
+    """The corners met turning counterclockwise about u from c1 to c2."""
+    i = _CYC.index((c1[0] - u[0], c1[1] - u[1]))
     seq = [c1]
-    i = i1
-    while i % 4 != i2 % 4:
-        i += direction
+    while seq[-1] != c2:
+        i += 1
         d = _CYC[i % 4]
         seq.append((u[0] + d[0], u[1] + d[1]))
     return seq
@@ -87,75 +86,49 @@ def _path_sign(path, cover: DoubleCover) -> int:
 
 
 def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
-    """Relations x_a = sign * x_b between boundary corner unknowns.
+    """Relations x_a = sign * x_b between boundary corner unknowns, each
+    sign taken along a corner path between a and b.
 
-    Three families: the two outer corners at a boundary face inside a
-    wired arc (sign from the rotation through the outside), the two
-    corners at a common inner vertex across a free boundary edge (sign
-    from the direct step), and the two wired-side corners at the endpoints
-    of each free arc (sign from the corner path hugging the arc outside).
+    One walk around each boundary loop, outside the domain.  A loop keeps
+    the domain on its left and is simple, so at each of its dual vertices u
+    the corners whose primal vertex lies outside are consecutive, and the
+    turn about u from the outer corner of the edge before u to that of the
+    edge after it runs counterclockwise.  Per loop: the turn between two
+    wired edges (when it moves), then the two inner corners of each free
+    edge; after all loops, for each free arc that leaves a wired edge, the
+    chain of turns hugging the arc from the wired edge before it to the
+    wired edge after it.
     """
-    rels = []
-    verts = domain.vertices
-
-    def outer_corner(u, oriented_edge):
-        po = domain.sides[edge_key(*oriented_edge)][1]
-        return ((po[0] + u[0]) // 2, (po[1] + u[1]) // 2)
-
+    rels, arcs = [], []
     for loop in domain.boundary_loops:
         edges = domain.loop_edges(loop)
-        labs = [domain.edge_label[edge_key(*oe)] for oe in edges]
         n = len(edges)
-        for i in range(n):
-            if labs[i - 1] != WIRED or labs[i] != WIRED:
-                continue
-            u = edges[i][0]
-            c1 = outer_corner(u, edges[i - 1])
-            c2 = outer_corner(u, edges[i])
-            if c1 == c2:
-                continue
-            best = None
-            for d in (1, -1):
-                seq = _rotation_seq(u, c1, c2, d)
-                if all(corner_neighbors(q)[0] not in verts for q in seq[1:-1]):
-                    if best is None or len(seq) < len(best):
-                        best = seq
-            rels.append((c1, c2, _path_sign(best, cover)))
-        for i in range(n):
-            if labs[i] != FREE:
-                continue
-            u1, u2 = edges[i]
-            v = domain.sides[edge_key(u1, u2)][0]
-            c1 = ((v[0] + u1[0]) // 2, (v[1] + u1[1]) // 2)
-            c2 = ((v[0] + u2[0]) // 2, (v[1] + u2[1]) // 2)
-            rels.append((c1, c2, _path_sign([c1, c2], cover)))
-    for arc in domain.free_arcs():
-        whole_component = any(
-            len(arc) == len(loop) for loop in domain.boundary_loops)
-        if whole_component:
+        sides = [domain.sides[edge_key(*oe)] for oe in edges]
+        wired = [domain.edge_label[edge_key(*oe)] == WIRED for oe in edges]
+        # a corner is the midpoint of its primal and dual vertex
+        turns = [_rotation_seq(u, edge_midpoint((sides[i - 1][1], u)),
+                               edge_midpoint((sides[i][1], u)))
+                 for i, (u, _) in enumerate(edges)]
+        rels += [(t[0], t[-1], _path_sign(t, cover))
+                 for i, t in enumerate(turns)
+                 if wired[i - 1] and wired[i] and len(t) > 1]
+        for (u1, u2), (v, _), w in zip(edges, sides, wired):
+            if not w:
+                c1, c2 = edge_midpoint((v, u1)), edge_midpoint((v, u2))
+                rels.append((c1, c2, _path_sign([c1, c2], cover)))
+        if not any(wired):
             continue
-        za = zb = None
-        for loop in domain.boundary_loops:
-            edges = domain.loop_edges(loop)
-            for i, oe in enumerate(edges):
-                if oe == arc[0]:
-                    za = outer_corner(arc[0][0], edges[i - 1])
-                if oe == arc[-1]:
-                    zb = outer_corner(arc[-1][1], edges[(i + 1) % len(edges)])
-        if za is None or zb is None:
-            continue
-        # the corner path hugging the arc: corners at its dual vertices
-        # whose primal vertex is outside the domain
-        outside = {(u[0] + s[0], u[1] + s[1])
-                   for oe in arc for u in oe for s in _CYC}
-        outside = {c for c in outside
-                   if corner_neighbors(c)[0] not in verts} | {zb}
-        path = bfs_path(za, lambda c: neighbors_in(c, CORNER_STEPS, outside),
-                        lambda c: c == zb)
-        if path is None:
-            raise SolveError("no outside path along the free arc")
-        rels.append((za, zb, _path_sign(path, cover)))
-    return rels
+        # from the first wired edge round to it: each arc is entered
+        # before it is left
+        first = wired.index(True)
+        for i in (k % n for k in range(first + 1, first + n + 1)):
+            if wired[i - 1] and not wired[i]:
+                path = list(turns[i])
+            elif not wired[i - 1]:
+                path += turns[i]
+                if wired[i]:
+                    arcs.append((path[0], path[-1], _path_sign(path, cover)))
+    return rels + arcs
 
 
 def stencil_signs(domain: MeshDomain, cover: DoubleCover, e):
@@ -241,7 +214,9 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
         raise SolveError("covers ramified at dual vertices are not supported")
     src = source if isinstance(source, CornerPoint) else CornerPoint(tuple(source))
     # the primal neighbour of a non-corner point is never a vertex
-    if src.primal not in domain.vertices:
+    primal = np.array(src.primal)
+    pos, _ = lookup(codes(domain.vertex_xy), codes(primal))
+    if (domain.vertex_xy[pos] != primal).any():
         raise SolveError("source must be a corner at a vertex of the domain")
     eta_pin = base_phase(src.pos)
     A, b, unknowns = _assemble(domain, cover, src.pos, eta_pin)

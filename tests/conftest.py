@@ -10,3 +10,7 @@ def square(k):
     """Primal grid points with |x|, |y| <= k."""
     return {(x, y) for x in range(-k, k + 1) for y in range(-k, k + 1)
             if is_primal((x, y))}
+
+
+# a lattice-aligned 2x2 block of primal vertices around the origin's face
+HOLE_2X2 = {(0, 0), (2, 2), (-2, 2), (0, 4)}

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bulk_corners, square
+from conftest import HOLE_2X2, bulk_corners, square
 from isinglab import exact
 from isinglab.exact import (BETA_CRIT, Enumeration, EnumerationError,
                             corr_energy, fermion_field, fermion_multipoint,
@@ -205,15 +205,23 @@ def test_pfaffian_identity_k4_on_8x8():
     assert abs(direct) > 0 and abs(direct - pf) <= 1e-10 * abs(direct)
 
 
-# a lattice-aligned 2x2 block of primal vertices around the origin's face
-_HOLE_2X2 = {(0, 0), (2, 2), (-2, 2), (0, 4)}
-
-
 @pytest.mark.parametrize("labels", [(WIRED, WIRED), (WIRED, FREE),
                                     (FREE, WIRED)])
 def test_solver_matches_oracle_around_a_hole(labels):
-    dom = MeshDomain(1.0, square(8) - _HOLE_2X2, list(labels))
+    dom = MeshDomain(1.0, square(8) - HOLE_2X2, list(labels))
     assert len(dom.boundary_loops) == 2
+    cov = make_cover(dom, [])
+    assert _field_error(dom, cov, inner_corner(dom)) < 1e-10
+
+
+@pytest.mark.parametrize("inner", [WIRED, FREE])
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_free_arc_as_long_as_the_hole_loop_matches_the_oracle(k, inner):
+    """A free arc of k edges on the outer loop around a hole of 8 edges; at
+    k = 8 the arc is as long as the hole loop."""
+    dom = MeshDomain(1.0, square(10) - HOLE_2X2,
+                     [[(WIRED, 5), (FREE, k), (WIRED, 39 - k)], inner])
+    assert [len(loop) for loop in dom.boundary_loops] == [44, 8]
     cov = make_cover(dom, [])
     assert _field_error(dom, cov, inner_corner(dom)) < 1e-10
 
@@ -228,7 +236,7 @@ def _wired_as_plus(dom) -> PMBoundarySpec:
 
 @pytest.mark.parametrize("make", [
     lambda: build_rectangle(1.0, 3, 3, [(WIRED, 3), (FREE, 4), (WIRED, 5)]),
-    lambda: MeshDomain(1.0, square(10) - _HOLE_2X2, [WIRED, FREE]),
+    lambda: MeshDomain(1.0, square(10) - HOLE_2X2, [WIRED, FREE]),
 ], ids=["3x3_free_arc", "square10_hole_wired_free"])
 def test_standard_labels_are_the_monochromatic_ensemble(make):
     """Standard boundary conditions are the locally monochromatic ensemble

@@ -264,13 +264,3 @@ def test_block_at_width_limit_sums():
     """The 20 x 30 block at the width limit has a finite Z (about 30 s)."""
     z = partition_function(build_rectangle(1.0, 20, 30))
     assert 0.9 < math.log(z) / 601 < 1.05
-
-
-def test_result_record_schema():
-    import json
-    from isinglab.exact import result_record
-    rec = json.loads(result_record("corr_spin", 0.5, z=12.0, bc="plus"))
-    assert set(rec) == {"query", "value", "Z", "bc", "seedless"}
-    assert rec["seedless"] is True
-    rec2 = json.loads(result_record("obs", 1 + 2j))
-    assert rec2["value"] == [1.0, 2.0]

@@ -14,7 +14,6 @@ from isinglab.lattice import (
     build_annulus, build_rectangle, crossing_edge, edge_key, make_cover,
     neighbors_in,
 )
-from isinglab.sholo import SolveError, boundary_pairs
 
 
 def reference(vertices, specs):
@@ -229,14 +228,3 @@ def test_unreachable_goal_is_each_callers_error():
     corners = bulk_corners(dom)
     with pytest.raises(EnumerationError, match="no corner path"):
         fermion_multipoint(dom, make_cover(dom, []), [corners[0], corners[-1]])
-
-
-def test_broken_free_arc_path_is_a_solve_error(monkeypatch):
-    """A free arc whose outside corners do not connect (its middle edges
-    left out) leaves the arc's two ends without a path."""
-    L = _loop_length(build_rectangle(1.0, 4, 4).vertices)
-    dom = build_rectangle(1.0, 4, 4, [(WIRED, 3), (FREE, 6), (WIRED, L - 9)])
-    (arc,) = dom.free_arcs()
-    monkeypatch.setattr(dom, "free_arcs", lambda: [[arc[0], arc[-1]]])
-    with pytest.raises(SolveError, match="no outside path"):
-        boundary_pairs(dom, make_cover(dom, []))

@@ -9,7 +9,7 @@ from isinglab.exact import Enumeration
 from isinglab.lattice import (
     AXIS_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, base_phase,
     base_phases, build_annulus, build_rectangle, corner_neighbors,
-    corner_phase, edge_key, enclosure_parity, make_cover, sheet_sign, FREE,
+    corner_phase, edge_key, make_cover, sheet_sign, FREE,
     WIRED, reduce_mod2,
 )
 
@@ -117,15 +117,6 @@ def test_sheet_sign_loops():
     p2 = small_loop(u1)
     assert sheet_sign(cov, p1[:-1] + p2) == sheet_sign(cov, p1) * sheet_sign(
         cov, p2)
-
-
-def test_enclosure_parity():
-    # a unit dual square around a primal vertex
-    v = (0, 0)
-    cyc = [edge_key((2, 0), (0, 2)), edge_key((0, 2), (-2, 0)),
-           edge_key((-2, 0), (0, -2)), edge_key((0, -2), (2, 0))]
-    assert enclosure_parity(cyc, v) == 1
-    assert enclosure_parity(cyc, (4, 0)) == 0
 
 
 def test_corner_phase_table_and_sheet():

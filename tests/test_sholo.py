@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bulk_corners, square
+from conftest import HOLE_2X2, bulk_corners, square
 from isinglab.exact import EnumerationError, fermion_field
-from isinglab.lattice import (FREE, WIRED, DoubleCover, MeshDomain,
-                              base_phase, build_annulus, build_rectangle,
+from isinglab.lattice import (FREE, WIRED, MeshDomain, base_phase,
+                              build_annulus, build_rectangle,
                               corner_neighbors, edge_midpoint, inner_corner,
                               make_cover, transport_side)
 from isinglab.sholo import (
@@ -57,19 +57,28 @@ def test_solver_refuses_dual_ramification():
 
 
 def test_sources_off_the_domain_are_refused():
-    """A non-corner point, a corner far outside and a corner at the outer
-    vertex of a wired crossing edge: the solver and the enumeration both
-    refuse them as sources."""
+    """A non-corner point, a corner far outside, a corner at the outer
+    vertex of a wired crossing edge and a corner whose primal vertex
+    (4, -2**23) has the grid code of the vertex (0, 0): the solver and the
+    enumeration both refuse them as sources."""
     dom = build_rectangle(1.0, 4, 4)
     cov = make_cover(dom, [])
     outer = [c for c in sorted(dom.corners)
              if corner_neighbors(c)[0] not in dom.vertices]
-    assert outer
-    for src in (sorted(dom.vertices)[5], (1001, 1000), outer[0]):
+    assert outer and (0, 0) in dom.vertices
+    for src in (sorted(dom.vertices)[5], (1001, 1000), outer[0],
+                (4, 1 - 2 ** 23)):
         with pytest.raises(SolveError, match="corner at a vertex"):
             solve_observable(dom, cov, src)
         with pytest.raises(EnumerationError, match="corner at a vertex"):
             fermion_field(dom, cov, src)
+
+
+def test_a_solve_builds_no_vertex_set():
+    dom = build_rectangle(1.0, 12, 12)
+    # the corner east of the vertex (0, 24), lattice coordinates (6, 6)
+    solve_observable(dom, make_cover(dom, []), (1, 24))
+    assert "vertices" not in vars(dom)
 
 
 def dense_system(dom, cov, src):
@@ -129,6 +138,12 @@ _SQUARE_SYSTEMS = (
         lambda k=k, j=j, a=a, b=b: (MeshDomain(1.0, square(k) - square(j),
                                                [a, b]), []))
        for k, j in ((8, 2), (12, 4)) for a, b in _LABEL_PAIRS]
+    # a free arc as long as the hole loop
+    + [(f"square10-hole2x2_arc8_{b}",
+        lambda b=b: (MeshDomain(1.0, square(10) - HOLE_2X2,
+                                [[(WIRED, 5), (FREE, 8), (WIRED, 31)], b]),
+                     []))
+       for b in (WIRED, FREE)]
     # Two all-free ramified annuli where dropping the row with the largest
     # |rhs| leaves a poorly conditioned square system (residuals 6.4e-10
     # and 8.7e-10): the row with the largest left null weight must go.
@@ -195,34 +210,29 @@ def _arc_spec(w, h, runs):
     return [(lab, rest if n is None else n) for lab, n in runs]
 
 
-# A wired arc of a single boundary edge between free arcs: the assembled
-# system is inconsistent there (residual 2e-3 to 2 of |rhs|), a defect of
-# the solver that these cases pin until it is mended.
-_SINGLE_EDGE_ARCS = [
-    (6, 5, [(WIRED, 1), (FREE, None)]),
-    (10, 3, [(WIRED, 1), (FREE, None)]),
-    (6, 5, [(FREE, 3), (WIRED, 1), (FREE, None)]),
-    (4, 4, [(FREE, 3), (WIRED, 1), (FREE, None)]),
-    (10, 3, [(FREE, 3), (WIRED, 1), (FREE, None)]),
+_SHORT_WIRED_ARCS = [
+    (6, 5, [(WIRED, 1), (FREE, None)], []),
+    (10, 3, [(WIRED, 1), (FREE, None)], []),
+    (6, 5, [(FREE, 3), (WIRED, 1), (FREE, None)], []),
+    (4, 4, [(FREE, 3), (WIRED, 1), (FREE, None)], []),
+    (10, 3, [(FREE, 3), (WIRED, 1), (FREE, None)], []),
+    (6, 5, [(FREE, 3), (WIRED, 1), (FREE, None)], [(2, 10), (6, 14)]),
+    (6, 5, [(WIRED, 2), (FREE, None)], []),
+    (6, 5, [(FREE, 3), (WIRED, 2), (FREE, None)], []),
+    (10, 3, [(FREE, 3), (WIRED, 2), (FREE, None)], []),
 ]
 
 
-@pytest.mark.xfail(raises=SolveError, strict=True,
-                   reason="single-edge wired arc gives an inconsistent system")
-@pytest.mark.parametrize("w, h, runs", _SINGLE_EDGE_ARCS)
-def test_single_edge_wired_arc_solves(w, h, runs):
+@pytest.mark.parametrize("w, h, runs, ram", _SHORT_WIRED_ARCS, ids=[
+    f"{w}x{h}_" + "-".join(f"{lab}{n or ''}" for lab, n in runs)
+    + ("_ramified" if ram else "") for w, h, runs, ram in _SHORT_WIRED_ARCS])
+def test_short_wired_arc_matches_the_oracle(w, h, runs, ram):
+    """A wired arc of one or two edges between free arcs: the free arc's
+    relation runs the long way round, from that wired arc back to it."""
     dom = build_rectangle(1.0, w, h, _arc_spec(w, h, runs))
-    solve_observable(dom, DoubleCover(dom, []), inner_corner(dom))
-
-
-@pytest.mark.parametrize("w, h, runs", [
-    (6, 5, [(WIRED, 2), (FREE, None)]),
-    (6, 5, [(FREE, 3), (WIRED, 2), (FREE, None)]),
-    (10, 3, [(FREE, 3), (WIRED, 2), (FREE, None)]),
-])
-def test_two_edge_wired_arc_solves(w, h, runs):
-    dom = build_rectangle(1.0, w, h, _arc_spec(w, h, runs))
-    sol = solve_observable(dom, DoubleCover(dom, []), inner_corner(dom))
+    cov = make_cover(dom, ram)
+    err, sol = field_error(dom, cov, inner_corner(dom, avoid=set(ram)))
+    assert err < 1e-10
     assert sol.residual < 1e-14
 
 
