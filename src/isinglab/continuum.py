@@ -346,12 +346,12 @@ def ann_fermion(bc: AnnulusBC, z: complex, w: complex, kind: str = "f",
         raise ContinuumError(f"unsupported annulus fermion labels {labels}")
     if labels == ("free", "wired"):
         # swap circles by inversion; the kernels transform with weight 1/2,
-        # the starred one antiholomorphically in its first point
+        # the starred one antiholomorphically in its second point
         zi, wi = math.exp(-p) / z, math.exp(-p) / w
         sz = cmath.sqrt(-math.exp(-p) / z ** 2)
         sw = cmath.sqrt(-math.exp(-p) / w ** 2)
         if kind == "fstar":
-            sz = sz.conjugate()
+            sw = sw.conjugate()
         sub = AnnulusBC(p, "wired", "free")
         return ann_fermion(sub, zi, wi, kind, with_spins) * sz * sw
     if kind == "f":

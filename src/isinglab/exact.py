@@ -9,13 +9,15 @@ boundary conditions are the locally monochromatic ensemble of the domain's
 own labels, each wired arc plus, so every complement component with a
 wired arc gets one extra binary variable, which joins the frontier first;
 a plus/minus/free PMBoundarySpec is pinned, or locally monochromatic with
-mono=True.  Free arcs are excluded from the energy.  A sum costs
-O(V * 2^w) for a frontier of w variables, so the cost limits the domain's
-width (MAX_FRONTIER variables), not its number of spins.  The sums are
-plain Boltzmann weights in float64, which sets a second limit on the
-number of spins: ln Z grows by about 1 per spin (0.93 in the bulk, more
-next to a wired arc) and float64 ends at ln Z = 709, so a wired block of
-more than about 700 free spins overflows.  Both limits raise
+mono=True.  Free arcs are excluded from the energy.  Each query is one
+contraction: every row of Enumeration.sums carries its own dual-edge cut,
+so a fermion field sums all its corners and its denominator at once.  A
+sum costs O(V * 2^w) for a frontier of w variables, so the cost limits the
+domain's width (MAX_FRONTIER variables), not its number of spins.  The
+sums are plain Boltzmann weights in float64, which sets a second limit on
+the number of spins: ln Z grows by about 1 per spin (0.93 in the bulk,
+more next to a wired arc) and float64 ends at ln Z = 709, so a wired block
+of more than about 700 free spins overflows.  Both limits raise
 EnumerationError.
 
 Serves as the ground-truth oracle for the solver and Monte Carlo modules.
@@ -83,9 +85,9 @@ class Enumeration:
       arcs opposite to that of its plus arcs.
 
     The energy is reduced once to pair couplings, one-variable fields and a
-    constant; each `sums` call contracts a table of shape
-    (observables, 2^frontier) vertex by vertex, sweeping along the lattice
-    axis that keeps the frontier narrower.
+    constant; each `sums` call folds each distinct cut into them once and
+    contracts a table of shape (rows, 2^frontier) vertex by vertex,
+    sweeping along the lattice axis that keeps the frontier narrower.
     """
 
     def __init__(self, domain: MeshDomain, pm: PMBoundarySpec | None = None,
@@ -250,41 +252,69 @@ class Enumeration:
                 odd.symmetric_difference_update({ex.var})
         return coef, sorted(odd)
 
-    def sums(self, observables, gamma=()) -> list[float]:
-        """[sum_config mu_gamma(config) * w(config) * prod_{S} sigma] per S.
+    def sums(self, observables, cuts=None) -> list[float]:
+        """[sum_config mu_gamma(config) * w(config) * prod_{S} sigma] per
+        row (S, gamma), all rows in one contraction.
 
         observables: list of spin collections (each reduced mod 2 first).
+        cuts: one dual-edge set gamma per observable; None cuts no row.
+        Each distinct cut is folded into the couplings once, and the rows
+        differ only in the pair and field factors that some cut changes.
         """
         n = len(observables)
+        if cuts is None:
+            cuts = [()] * n
+        elif len(cuts) != n:
+            raise ValueError(f"{len(cuts)} cuts for {n} observables")
         coefs = np.ones(n)
         signs = np.ones((n, self.n_free))
         for i, obs in enumerate(observables):
             coefs[i], odd = self._observable(obs)
             signs[i, odd] = -1.0
-        couplings = self._couplings.copy()
-        fields = self._fields.copy()
-        const = self._const + self._fold(self.gamma_terms(gamma), -2,
-                                         couplings, fields)
+        index: dict[frozenset, int] = {}
+        cut_of = np.array([index.setdefault(frozenset(g), len(index))
+                           for g in cuts], dtype=np.intp)
+        couplings = np.tile(self._couplings, (len(index), 1))
+        fields = np.tile(self._fields, (len(index), 1))
+        const = np.array([
+            self._const + self._fold(self.gamma_terms(g), -2, couplings[j],
+                                     fields[j])
+            for j, g in enumerate(index)], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            pair_f = np.exp(BETA_CRIT * couplings[:, None, None] * _PAIR_SIGNS)
-            field_f = np.exp(BETA_CRIT * fields[:, None] * _FIELD_SIGNS)
+            pair_f = np.exp(BETA_CRIT * couplings[..., None, None]
+                            * _PAIR_SIGNS)
+            field_f = np.exp(BETA_CRIT * fields[..., None] * _FIELD_SIGNS)
+            varies = ((couplings != couplings[0]).any(axis=0),
+                      (fields != fields[0]).any(axis=0))
             batch = max(1, _TABLE_ENTRIES >> self.frontier_width)
             out = np.zeros(n)
             for lo in range(0, n, batch):
-                out[lo:lo + batch] = self._contract(pair_f, field_f,
-                                                    signs[lo:lo + batch])
-            out *= coefs * np.exp(BETA_CRIT * const)
+                rows = slice(lo, lo + batch)
+                out[rows] = self._contract(pair_f, field_f, varies,
+                                           cut_of[rows], signs[rows])
+            out *= coefs * np.exp(BETA_CRIT * const)[cut_of]
         if not np.all(np.isfinite(out)):
             raise EnumerationError("non-finite configuration sum")
         return out.tolist()
 
-    def _contract(self, pair_f, field_f, signs) -> np.ndarray:
+    def _contract(self, pair_f, field_f, varies, cut_of, signs) -> np.ndarray:
+        """The sums of one batch of rows, before the constant factor.  A
+        pair or field factor that some cut changes is taken per row (its
+        cut's), the others once for all rows."""
+        vary_pair, vary_field = varies
         flipped = signs.min(axis=0) < 0
         table = np.ones(len(signs))
         for st in self._steps:
-            factor = field_f[st.var].reshape(st.field_shape)
+            if vary_field[st.var]:
+                factor = field_f[cut_of, st.var].reshape(st.sign_shape)
+            else:
+                factor = field_f[0, st.var].reshape(st.field_shape)
             for shape, k in st.couplings:
-                factor = factor * pair_f[k].reshape(shape)
+                if vary_pair[k]:
+                    factor = factor * pair_f[cut_of, k].reshape(
+                        (-1,) + shape[1:])
+                else:
+                    factor = factor * pair_f[0, k].reshape(shape)
             if flipped[st.var]:
                 sv = np.ones((len(signs), 2))
                 sv[:, 1] = signs[:, st.var]
@@ -322,8 +352,7 @@ def corr_disorder_spin(domain: MeshDomain, gamma, vertices=(),
     """E[mu_gamma sigma_v1 ... sigma_vn] for an explicit dual-edge cut."""
     spins = reduce_mod2(vertices)
     en = Enumeration(domain, pm)
-    (num,) = en.sums([spins], gamma=gamma)
-    (z,) = en.sums([()])
+    num, z = en.sums([spins, ()], [gamma, ()])
     return num / z
 
 
@@ -373,10 +402,13 @@ def _energy_terms(en: Enumeration, spins, energy_edges) -> list[tuple]:
     return terms
 
 
-def _expanded_sums(en: Enumeration, groups, gamma=()) -> list[float]:
+def _expanded_sums(en: Enumeration, groups, cuts=None) -> list[float]:
     """sum_k coef_k * sums(spins_k) for each group of (coef, spins_k)
-    terms, all in one contraction."""
-    vals = iter(en.sums([s for terms in groups for _, s in terms], gamma))
+    terms, all in one contraction; cuts, if given, has one cut per group."""
+    rows = [s for terms in groups for _, s in terms]
+    if cuts is not None:
+        cuts = [g for terms, g in zip(groups, cuts) for _ in terms]
+    vals = iter(en.sums(rows, cuts))
     out = []
     for terms in groups:
         total = 0.0
@@ -477,6 +509,24 @@ class _Transport:
         return self.chi * (1 - 2 * self.lift)
 
 
+def _walk_steps(domain: MeshDomain, c) -> list:
+    """The corners of the domain one walk step from c, in CORNER_STEPS
+    order, except those reached by a turn about a primal vertex outside the
+    domain.
+
+    The primal edge such a step crosses, and adds to the cut, can join two
+    outside vertices.  That edge has no energy term (on a wired loop both
+    its ends are the one boundary spin), so the cut would lose it without a
+    word.  Every corner of the domain stays reachable without these steps.
+    """
+    out = []
+    for w in neighbors_in(c, CORNER_STEPS, domain.corners):
+        turn = rotation_vertex(c, w)
+        if not is_primal(turn) or turn in domain.vertices:
+            out.append(w)
+    return out
+
+
 def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
     """Two-point observable as a field: F(source, c) for every corner c.
 
@@ -490,17 +540,9 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
             "source must be a corner at a vertex of the domain")
     en = Enumeration(domain)
     ram = reduce_mod2(cover.ram_primal)
-    den = en.sums([ram])[0]
-    if den == 0.0:
-        raise EnumerationError("vanishing spin correlation denominator")
-    eta_s = base_phase(src.pos)
-    values: dict = {src.pos: (eta_s * eta_s, -eta_s * eta_s)}
-    parents = bfs(src.pos, lambda c: neighbors_in(c, CORNER_STEPS,
-                                                  domain.corners))
+    parents = bfs(src.pos, lambda c: _walk_steps(domain, c))
     # each corner's state extends its parent's by the step between them
     states = {src.pos: _Transport(cover)}
-    src_n = corner_neighbors(src.pos)[0]
-    groups: dict[frozenset, list] = {}
     for c, parent in parents.items():
         if parent is None:
             continue
@@ -508,13 +550,19 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
         if parent == src.pos:
             st.chi *= transport_side(src.pos, c)
         st.step(parent, c)
-        groups.setdefault(frozenset(st.gamma), []).append(c)
-    # one enumeration per distinct cut
-    for gamma, members in groups.items():
-        obs = [reduce_mod2(ram + (src_n, corner_neighbors(c)[0]))
-               for c in members]
-        for c, v in zip(members, en.sums(obs, gamma=gamma)):
-            values[c] = states[c].sign * eta_s * base_phase(c) * v / den
+    del states[src.pos]
+    # the denominator and every corner, each with its own cut, in one sum
+    src_n = corner_neighbors(src.pos)[0]
+    den, *nums = en.sums(
+        [ram] + [reduce_mod2(ram + (src_n, corner_neighbors(c)[0]))
+                 for c in states],
+        [()] + [st.gamma for st in states.values()])
+    if den == 0.0:
+        raise EnumerationError("vanishing spin correlation denominator")
+    eta_s = base_phase(src.pos)
+    values: dict = {src.pos: (eta_s * eta_s, -eta_s * eta_s)}
+    for (c, st), v in zip(states.items(), nums):
+        values[c] = st.sign * eta_s * base_phase(c) * v / den
     return values
 
 
@@ -535,7 +583,6 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
         raise EnumerationError("corner positions must be distinct")
     en = Enumeration(domain)
     ram = reduce_mod2(cover.ram_primal)
-    den = en.sums([ram])[0]
     st = _Transport(cover)
     phase = complex(1.0)
     placed: list = []
@@ -545,8 +592,8 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
         forbidden = frozenset(placed) | frozenset(tuple(q) for q in avoid) - {a, b}
         blocked = (forbidden | {a}) - {b}
         path = bfs_path(a, lambda c: [
-            w for w in neighbors_in(c, CORNER_STEPS, domain.corners)
-            if w not in blocked], lambda c: c == b)
+            w for w in _walk_steps(domain, c) if w not in blocked],
+            lambda c: c == b)
         if path is None:
             raise EnumerationError(f"no corner path {a} -> {b}")
         st.chi *= transport_side(a, path[1])
@@ -554,7 +601,7 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
             st.step(c1, c2)
         placed += [a, b]
     spins = reduce_mod2(ram + tuple(corner_neighbors(p)[0] for p in pos))
-    num = en.sums([spins], gamma=st.gamma)[0]
+    num, den = en.sums([spins, ram], [st.gamma, ()])
     sheet = sum(p.sheet for p in pts) % 2
     return (1 - 2 * sheet) * st.sign * phase * num / den
 
@@ -616,7 +663,6 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     if K % 2 == 1:
         return 0.0
     en = Enumeration(domain)
-    z = en.sums([()])[0]
     # direct route: disorders via explicit cuts, energies via sigma products
     gamma: set = set()
     duals = [c.dual for c in [_as_corner(f) for f in content.fermions]]
@@ -634,12 +680,18 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     spin_list = list(content.spins)
     spin_list += [_as_corner(f).primal for f in content.fermions]
     direct_spins = reduce_mod2(spin_list)
-    (total,) = _expanded_sums(
-        en, [_energy_terms(en, direct_spins, content.energies)], gamma)
+    check = check_tol is not None and bool(
+        content.fermions or content.disorders or content.energies)
+    groups = [_energy_terms(en, direct_spins, content.energies), [(1.0, ())]]
+    cuts = [gamma, ()]
+    if check:
+        # the fermionic route's spin correlation joins the same sum
+        groups.append([(1.0, reduce_mod2(vertices))])
+        cuts.append(())
+    total, z, *spins = _expanded_sums(en, groups, cuts)
     direct = total / z
-    if check_tol is not None and (content.fermions or content.disorders
-                                  or content.energies):
-        ferm = _mixed_via_fermions(domain, content, en, z)
+    if check:
+        ferm = _mixed_via_fermions(domain, corners, vertices, spins[0] / z)
         scale = max(abs(direct), abs(ferm), 1e-30)
         if abs(abs(direct) - abs(ferm)) > check_tol * max(1.0, scale):
             raise EnumerationError(
@@ -647,11 +699,9 @@ def corr_mixed(domain: MeshDomain, content: MixedContent,
     return direct
 
 
-def _mixed_via_fermions(domain, content: MixedContent, en, z) -> float:
-    corners, vertices = content.total_corners(domain)
+def _mixed_via_fermions(domain, corners, vertices, spin_corr) -> float:
     cover = make_cover(domain, vertices)
     F = fermion_multipoint(domain, cover, corners)
-    spin_corr = en.sums([reduce_mod2(vertices)])[0] / z
     eta_prod = complex(1.0)
     for c in corners:
         eta_prod *= corner_phase(_as_corner(c))

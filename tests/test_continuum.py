@@ -205,6 +205,26 @@ def test_annulus_fermion_kernels():
             -ann_fermion(bc, w, z, "f"), rel=1e-12)
 
 
+@pytest.mark.parametrize("outer, inner", [
+    ("wired", "wired"), ("wired", "free"), ("free", "wired")])
+def test_annulus_starred_kernel_is_holomorphic_then_antiholomorphic(
+        outer, inner):
+    """The starred kernel is holomorphic in its first point and
+    antiholomorphic in its second: central differences of step 1e-5 give
+    d/dzbar and d/dw of at most 1e-8."""
+    bc = AnnulusBC(math.log(2), outer, inner)
+    z, w, h = 0.65 * cmath.exp(1.7j), 0.8 * cmath.exp(0.5j), 1e-5
+
+    def diff(f, x, sign):
+        """(d/dx + sign i d/dy) f / 2 at x."""
+        dx = f(x + h) - f(x - h)
+        dy = f(x + 1j * h) - f(x - 1j * h)
+        return (dx + sign * 1j * dy) / (4 * h)
+    dbar_z = diff(lambda q: ann_fermion(bc, q, w, "fstar"), z, 1)
+    d_w = diff(lambda q: ann_fermion(bc, z, q, "fstar"), w, -1)
+    assert abs(dbar_z) <= 1e-8 and abs(d_w) <= 1e-8
+
+
 @pytest.mark.parametrize("kernel", [
     lambda kind: hp_fermion("wired", 1j, 2j, kind),
     lambda kind: hp_fermion("spin", 1j, 2j, kind, v=0.5 + 1j),
