@@ -41,6 +41,7 @@ from .lattice import (
 BETA_CRIT = 0.5 * math.log(math.sqrt(2.0) + 1.0)
 
 # Widest frontier contracted, in variables: a table of 2^22 doubles is 32 MB.
+# A batch of rows keeps its table, and its rows' factors, within that size.
 # The other limit is overflow of Z itself, about 700 spins at beta_c (see
 # the module docstring); it shows as a non-finite sum.
 MAX_FRONTIER = 22
@@ -64,11 +65,11 @@ class _Expr:
 @dataclass
 class _Step:
     """Adding one variable to the frontier: its couplings to variables
-    already there (broadcast shape, pair number), then the table axes
-    summed out because every neighbour of their variable is in."""
+    already there (broadcast shape, pair number), the broadcast shape of
+    its per-row factors, then the table axes summed out because every
+    neighbour of their variable is in."""
     var: int
     couplings: list
-    field_shape: tuple
     sign_shape: tuple
     eliminate: tuple
 
@@ -232,7 +233,7 @@ class Enumeration:
             frontier.append(var)
             width = max(width, len(frontier))
             gone = [k for k, u in enumerate(frontier) if last[u] == i]
-            steps.append(_Step(var, couplings, (1,) * (ndim - 1) + (2,),
+            steps.append(_Step(var, couplings,
                                (-1,) + (1,) * (ndim - 2) + (2,),
                                tuple(1 + k for k in gone)))
             frontier = [u for u in frontier if last[u] != i]
@@ -258,8 +259,9 @@ class Enumeration:
 
         observables: list of spin collections (each reduced mod 2 first).
         cuts: one dual-edge set gamma per observable; None cuts no row.
-        Each distinct cut is folded into the couplings once, and the rows
-        differ only in the pair and field factors that some cut changes.
+        Rows are contracted a batch at a time; each distinct cut of a
+        batch is folded into the couplings once, and each row's pair and
+        field factors are those of its cut.
         """
         n = len(observables)
         if cuts is None:
@@ -274,47 +276,46 @@ class Enumeration:
         index: dict[frozenset, int] = {}
         cut_of = np.array([index.setdefault(frozenset(g), len(index))
                            for g in cuts], dtype=np.intp)
-        couplings = np.tile(self._couplings, (len(index), 1))
-        fields = np.tile(self._fields, (len(index), 1))
-        const = np.array([
-            self._const + self._fold(self.gamma_terms(g), -2, couplings[j],
-                                     fields[j])
-            for j, g in enumerate(index)], dtype=float)
+        distinct = list(index)
+        # a batch's table, and its rows' factors (five entries per pair,
+        # three per variable, counting the folded couplings), each stay
+        # within _TABLE_ENTRIES
+        per_row = max(1, 5 * len(self._couplings) + 3 * self.n_free)
+        batch = max(1, min(_TABLE_ENTRIES >> self.frontier_width,
+                           _TABLE_ENTRIES // per_row))
+        out = np.zeros(n)
+        scale = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            pair_f = np.exp(BETA_CRIT * couplings[..., None, None]
-                            * _PAIR_SIGNS)
-            field_f = np.exp(BETA_CRIT * fields[..., None] * _FIELD_SIGNS)
-            varies = ((couplings != couplings[0]).any(axis=0),
-                      (fields != fields[0]).any(axis=0))
-            batch = max(1, _TABLE_ENTRIES >> self.frontier_width)
-            out = np.zeros(n)
             for lo in range(0, n, batch):
                 rows = slice(lo, lo + batch)
-                out[rows] = self._contract(pair_f, field_f, varies,
-                                           cut_of[rows], signs[rows])
-            out *= coefs * np.exp(BETA_CRIT * const)[cut_of]
+                used, local = np.unique(cut_of[rows], return_inverse=True)
+                couplings = np.tile(self._couplings, (len(used), 1))
+                fields = np.tile(self._fields, (len(used), 1))
+                const = np.array([
+                    self._const + self._fold(self.gamma_terms(distinct[j]),
+                                             -2, couplings[i], fields[i])
+                    for i, j in enumerate(used)], dtype=float)
+                pair_f = np.exp(BETA_CRIT * couplings[local, :, None, None]
+                                * _PAIR_SIGNS)
+                field_f = np.exp(BETA_CRIT * fields[local, :, None]
+                                 * _FIELD_SIGNS)
+                out[rows] = self._contract(pair_f, field_f, signs[rows])
+                scale[rows] = np.exp(BETA_CRIT * const[local])
+            out *= coefs * scale
         if not np.all(np.isfinite(out)):
             raise EnumerationError("non-finite configuration sum")
         return out.tolist()
 
-    def _contract(self, pair_f, field_f, varies, cut_of, signs) -> np.ndarray:
-        """The sums of one batch of rows, before the constant factor.  A
-        pair or field factor that some cut changes is taken per row (its
-        cut's), the others once for all rows."""
-        vary_pair, vary_field = varies
+    def _contract(self, pair_f, field_f, signs) -> np.ndarray:
+        """The sums of one batch of rows, before the constant factor, from
+        the pair factors pair_f[row, pair] and field factors
+        field_f[row, variable] of each row."""
         flipped = signs.min(axis=0) < 0
         table = np.ones(len(signs))
         for st in self._steps:
-            if vary_field[st.var]:
-                factor = field_f[cut_of, st.var].reshape(st.sign_shape)
-            else:
-                factor = field_f[0, st.var].reshape(st.field_shape)
+            factor = field_f[:, st.var].reshape(st.sign_shape)
             for shape, k in st.couplings:
-                if vary_pair[k]:
-                    factor = factor * pair_f[cut_of, k].reshape(
-                        (-1,) + shape[1:])
-                else:
-                    factor = factor * pair_f[0, k].reshape(shape)
+                factor = factor * pair_f[:, k].reshape((-1,) + shape[1:])
             if flipped[st.var]:
                 sv = np.ones((len(signs), 2))
                 sv[:, 1] = signs[:, st.var]

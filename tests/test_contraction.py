@@ -203,22 +203,47 @@ def test_each_row_carries_its_own_cut(name):
 
 def test_observables_in_batches(monkeypatch):
     """Tables wider than the entry budget are contracted a few rows at a
-    time: a budget of three rows splits ten rows, each under its own cut,
-    into four batches, and no sum changes."""
-    dom = build_rectangle(1.0, 4, 3)
+    time: on a 9 x 9 block, whose 11-variable frontier binds before its cut
+    factors do, a budget of three tables splits ten rows, each under its
+    own cut, into four batches, and no sum changes."""
+    dom = build_rectangle(1.0, 9, 9)
     en = Enumeration(dom)
     obs, cuts = _rows_with_cuts(dom, random.Random(7))
     want = en.sums(obs, cuts)
     batches = []
     contract = Enumeration._contract
 
-    def counted(self, pair_f, field_f, varies, cut_of, signs):
+    def counted(self, pair_f, field_f, signs):
         batches.append(len(signs))
-        return contract(self, pair_f, field_f, varies, cut_of, signs)
+        return contract(self, pair_f, field_f, signs)
     monkeypatch.setattr(Enumeration, "_contract", counted)
     monkeypatch.setattr(exact, "_TABLE_ENTRIES", 3 << en.frontier_width)
     assert en.sums(obs, cuts) == want
     assert batches == [3, 3, 3, 1]
+
+
+def test_cut_factors_stay_within_the_table_budget(monkeypatch):
+    """A field has about one cut per corner, and each row's factors hold
+    four entries per pair and two per variable.  A batch takes only as many
+    rows as keep their factors within the entry budget, even where the
+    frontier would allow more, and the field does not change."""
+    dom = build_rectangle(1.0, 4, 4)
+    cov = make_cover(dom, [])
+    src = inner_corner(dom)
+    want = fermion_field(dom, cov, src)
+    sizes = []
+    contract = Enumeration._contract
+
+    def counted(self, pair_f, field_f, signs):
+        sizes.append((len(signs), pair_f.size + field_f.size))
+        return contract(self, pair_f, field_f, signs)
+    monkeypatch.setattr(Enumeration, "_contract", counted)
+    # 32 rows by the frontier of 6 variables, 8 by the 36 pairs and 17
+    # variables of the factors: the denominator and 95 corners take 12
+    monkeypatch.setattr(exact, "_TABLE_ENTRIES", 1 << 11)
+    assert fermion_field(dom, cov, src) == want
+    assert [n for n, _ in sizes] == [8] * 12
+    assert max(size for _, size in sizes) <= 1 << 11
 
 
 def test_a_cut_for_each_observable_is_required():
@@ -264,6 +289,7 @@ def test_overflow_is_an_error():
 
 def _field_error(dom, cov, src):
     field = fermion_field(dom, cov, src)
+    assert set(field) == set(dom.corners)
     obs = solve_observable(dom, cov, src).observable()
     vals = {c: v for c, v in field.items() if not isinstance(v, tuple)}
     sup = max(abs(v) for v in vals.values())

@@ -21,6 +21,7 @@ from isinglab.sholo import (
 
 def field_error(dom, cov, src):
     field = fermion_field(dom, cov, src)
+    assert set(field) == set(dom.corners)
     sol = solve_observable(dom, cov, src)
     obs = sol.observable()
     vals = {c: v for c, v in field.items() if not isinstance(v, tuple)}
