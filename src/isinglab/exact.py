@@ -34,8 +34,8 @@ from .lattice import (
     CORNER_STEPS, DIAG_STEPS, FREE, MINUS, PLUS, CornerPoint, DoubleCover,
     MeshDomain, PMBoundarySpec, base_phase, bfs, bfs_path,
     corner_direction, corner_neighbors, corner_phase, crossing_edge,
-    edge_key, is_primal, make_cover, neighbors_in, phase_step_sign,
-    reduce_mod2, rotation_vertex, step_crossed_edge, transport_side,
+    edge_key, is_primal, make_cover, neighbors_in, reduce_mod2,
+    rotation_vertex, step_crossed_edge, transport_side,
 )
 
 BETA_CRIT = 0.5 * math.log(math.sqrt(2.0) + 1.0)
@@ -468,46 +468,29 @@ def _as_corner(c) -> CornerPoint:
     return CornerPoint(tuple(c), 0)
 
 
-class _Transport:
-    """Coherent branch bookkeeping for sigma-mu corner insertions.
+def _check_vertex_cover(cover: DoubleCover):
+    if cover.ram_dual:
+        raise EnumerationError(
+            "fermionic observables need a cover ramified at vertices only")
 
-    State: the explicit dual cut pairing the dual halves of all placed
-    insertions, an accumulated sign (phase continuation and cut crossings),
-    and the sheet parity with respect to the cover's primal branch cut.
+
+def _advance(cover: DoubleCover, sign: int, cut: frozenset, c1, c2):
+    """The walk state (sign, cut) carried along the corner step c1 -> c2.
+
+    cut is the dual cut that pairs the dual halves of the insertions
+    placed so far, and sign the spinor's sign: cover.step_sign at each
+    step, and -1 at each crossing of cut.  A turn about a primal vertex
+    sweeps the dual edge between the two corners' faces, which joins or
+    leaves cut; a turn about a dual vertex crosses a dual edge.
     """
-
-    def __init__(self, cover: DoubleCover):
-        if cover.ram_dual:
-            raise EnumerationError(
-                "fermionic observables need a cover ramified at vertices only")
-        self.cover = cover
-        self.gamma: set = set()
-        self.chi = 1
-        self.lift = 0
-
-    def clone(self):
-        t = _Transport(self.cover)
-        t.gamma = set(self.gamma)
-        t.chi = self.chi
-        t.lift = self.lift
-        return t
-
-    def step(self, c1, c2):
-        w = rotation_vertex(c1, c2)
-        e = step_crossed_edge(c1, c2)
-        self.chi *= phase_step_sign(c1, c2)
-        if e in self.cover.cut:
-            self.lift ^= 1
-        if is_primal(w):
-            u1, u2 = (2 * c1[0] - w[0], 2 * c1[1] - w[1]), \
-                     (2 * c2[0] - w[0], 2 * c2[1] - w[1])
-            self.gamma.symmetric_difference_update({edge_key(u1, u2)})
-        elif e in self.gamma:
-            self.chi = -self.chi
-
-    @property
-    def sign(self) -> int:
-        return self.chi * (1 - 2 * self.lift)
+    sign *= cover.step_sign(c1, c2)
+    w = rotation_vertex(c1, c2)
+    if is_primal(w):
+        return sign, cut ^ {edge_key((2 * c1[0] - w[0], 2 * c1[1] - w[1]),
+                                     (2 * c2[0] - w[0], 2 * c2[1] - w[1]))}
+    if step_crossed_edge(c1, c2) in cut:
+        sign = -sign
+    return sign, cut
 
 
 def _walk_steps(domain: MeshDomain, c) -> list:
@@ -540,30 +523,30 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
         raise EnumerationError(
             "source must be a corner at a vertex of the domain")
     en = Enumeration(domain)
+    _check_vertex_cover(cover)
     ram = reduce_mod2(cover.ram_primal)
     parents = bfs(src.pos, lambda c: _walk_steps(domain, c))
     # each corner's state extends its parent's by the step between them
-    states = {src.pos: _Transport(cover)}
+    states = {src.pos: (1, frozenset())}
     for c, parent in parents.items():
-        if parent is None:
-            continue
-        st = states[c] = states[parent].clone()
-        if parent == src.pos:
-            st.chi *= transport_side(src.pos, c)
-        st.step(parent, c)
+        if parent is not None:
+            sign, cut = states[parent]
+            if parent == src.pos:
+                sign *= transport_side(src.pos, c)
+            states[c] = _advance(cover, sign, cut, parent, c)
     del states[src.pos]
     # the denominator and every corner, each with its own cut, in one sum
     src_n = corner_neighbors(src.pos)[0]
     den, *nums = en.sums(
         [ram] + [reduce_mod2(ram + (src_n, corner_neighbors(c)[0]))
                  for c in states],
-        [()] + [st.gamma for st in states.values()])
+        [()] + [cut for _, cut in states.values()])
     if den == 0.0:
         raise EnumerationError("vanishing spin correlation denominator")
     eta_s = base_phase(src.pos)
     values: dict = {src.pos: (eta_s * eta_s, -eta_s * eta_s)}
-    for (c, st), v in zip(states.items(), nums):
-        values[c] = st.sign * eta_s * base_phase(c) * v / den
+    for (c, (sign, _)), v in zip(states.items(), nums):
+        values[c] = sign * eta_s * base_phase(c) * v / den
     return values
 
 
@@ -583,8 +566,9 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
     if len(set(pos)) != len(pos):
         raise EnumerationError("corner positions must be distinct")
     en = Enumeration(domain)
+    _check_vertex_cover(cover)
     ram = reduce_mod2(cover.ram_primal)
-    st = _Transport(cover)
+    sign, cut = 1, frozenset()
     phase = complex(1.0)
     placed: list = []
     for j in range(0, len(pos), 2):
@@ -597,24 +581,14 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
             lambda c: c == b)
         if path is None:
             raise EnumerationError(f"no corner path {a} -> {b}")
-        st.chi *= transport_side(a, path[1])
+        sign *= transport_side(a, path[1])
         for c1, c2 in zip(path, path[1:]):
-            st.step(c1, c2)
+            sign, cut = _advance(cover, sign, cut, c1, c2)
         placed += [a, b]
     spins = reduce_mod2(ram + tuple(corner_neighbors(p)[0] for p in pos))
-    num, den = en.sums([spins, ram], [st.gamma, ()])
+    num, den = en.sums([spins, ram], [cut, ()])
     sheet = sum(p.sheet for p in pts) % 2
-    return (1 - 2 * sheet) * st.sign * phase * num / den
-
-
-def obs_fermion(domain: MeshDomain, cover: DoubleCover, z1, z2) -> complex:
-    """Two-point fermionic observable F(z1, z2)."""
-    c1, c2 = _as_corner(z1), _as_corner(z2)
-    if c1.pos == c2.pos:
-        # split-corner convention: F(z, z^+) = eta^2
-        eta = corner_phase(c1)
-        return eta * eta * (1 if c1.sheet == c2.sheet else -1)
-    return fermion_multipoint(domain, cover, [c1, c2])
+    return (1 - 2 * sheet) * sign * phase * num / den
 
 
 # -- mixed correlations ----------------------------------------------------

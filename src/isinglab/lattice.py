@@ -144,10 +144,6 @@ def is_dual(c: Coord) -> bool:
     return c[0] % 2 == 0 and c[1] % 2 == 0 and (c[0] + c[1]) % 4 == 2
 
 
-def is_corner(c: Coord) -> bool:
-    return (c[0] + c[1]) % 2 == 1
-
-
 def edge_key(a: Coord, b: Coord) -> Edge:
     return (a, b) if a <= b else (b, a)
 
@@ -618,6 +614,23 @@ class DoubleCover:
         """Whether the corner step c1 -> c2 crosses the branch cut."""
         return step_crossed_edge(c1, c2) in self.cut
 
+    def step_sign(self, c1: Coord, c2: Coord) -> int:
+        """Sign a spinor picks up along the corner step c1 -> c2: the
+        continuation of its phase, negated when the step crosses the cut."""
+        s = phase_step_sign(c1, c2)
+        return -s if self.crosses(c1, c2) else s
+
+    def path_sign(self, path) -> int:
+        """The product of step_sign along a corner path; a step between
+        points that are not neighbouring corners raises ValueError."""
+        s = 1
+        for c1, c2 in zip(path, path[1:]):
+            if ((c1[0] + c1[1]) % 2 == 0 or abs(c1[0] - c2[0]) != 1
+                    or abs(c1[1] - c2[1]) != 1):
+                raise ValueError(f"not a corner step: {c1} -> {c2}")
+            s *= self.step_sign(c1, c2)
+        return s
+
 
 def make_cover(domain: MeshDomain, points) -> DoubleCover:
     """Double cover ramified at the given primal vertices and/or dual faces.
@@ -688,20 +701,6 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
             raise ValueError("outer boundary face has no outward dual edge")
     return DoubleCover(domain, frozenset(prim), frozenset(dual),
                        frozenset(cut_p | cut_d))
-
-
-def sheet_sign(cover: DoubleCover, path: list[Coord]) -> int:
-    """(-1)^(number of branch-cut crossings) along a nearest-neighbour
-    corner path."""
-    sign = 1
-    for c1, c2 in zip(path, path[1:]):
-        if not (is_corner(c1) and is_corner(c2)):
-            raise ValueError("path must consist of corners")
-        if abs(c1[0] - c2[0]) != 1 or abs(c1[1] - c2[1]) != 1:
-            raise ValueError(f"not a corner step: {c1} -> {c2}")
-        if cover.crosses(c1, c2):
-            sign = -sign
-    return sign
 
 
 def _run_labels(domain: MeshDomain, runs_per_loop, allowed,

@@ -31,8 +31,7 @@ import numpy as np
 from .lattice import (
     CORNER_STEPS, WIRED, CornerPoint, DoubleCover, MeshDomain,
     base_phase, base_phases, bfs, codes, corner_neighbors, edge_codes,
-    edge_key, edge_midpoint, lookup, neighbors_in, phase_step_sign,
-    transport_side,
+    edge_key, edge_midpoint, lookup, neighbors_in, transport_side,
 )
 
 _CYC = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -76,15 +75,6 @@ def _rotation_seq(u, c1, c2):
     return seq
 
 
-def _path_sign(path, cover: DoubleCover) -> int:
-    s = 1
-    for a, b in zip(path, path[1:]):
-        s *= phase_step_sign(a, b)
-        if cover.crosses(a, b):
-            s = -s
-    return s
-
-
 def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
     """Relations x_a = sign * x_b between boundary corner unknowns, each
     sign taken along a corner path between a and b.
@@ -109,13 +99,13 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
         turns = [_rotation_seq(u, edge_midpoint((sides[i - 1][1], u)),
                                edge_midpoint((sides[i][1], u)))
                  for i, (u, _) in enumerate(edges)]
-        rels += [(t[0], t[-1], _path_sign(t, cover))
+        rels += [(t[0], t[-1], cover.path_sign(t))
                  for i, t in enumerate(turns)
                  if wired[i - 1] and wired[i] and len(t) > 1]
         for (u1, u2), (v, _), w in zip(edges, sides, wired):
             if not w:
                 c1, c2 = edge_midpoint((v, u1)), edge_midpoint((v, u2))
-                rels.append((c1, c2, _path_sign([c1, c2], cover)))
+                rels.append((c1, c2, cover.step_sign(c1, c2)))
         if not any(wired):
             continue
         # from the first wired edge round to it: each arc is entered
@@ -127,7 +117,7 @@ def boundary_pairs(domain: MeshDomain, cover: DoubleCover):
             elif not wired[i - 1]:
                 path += turns[i]
                 if wired[i]:
-                    arcs.append((path[0], path[-1], _path_sign(path, cover)))
+                    arcs.append((path[0], path[-1], cover.path_sign(path)))
     return rels + arcs
 
 

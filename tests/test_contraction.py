@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import HOLE_2X2, bulk_corners, square
+from conftest import HOLE_2X2, bulk_corners, field_error, square
 from isinglab import exact
 from isinglab.exact import (BETA_CRIT, Enumeration, EnumerationError,
                             MixedContent, corr_disorder_spin, corr_energy,
@@ -18,7 +18,6 @@ from isinglab.lattice import (CORNER_STEPS, FREE, WIRED, MeshDomain,
                               build_rectangle, edge_key, inner_corner,
                               make_cover, neighbors_in)
 from isinglab.pfaffian import assemble_multipoint
-from isinglab.sholo import solve_observable
 
 _CHUNK = 1 << 18
 
@@ -81,13 +80,14 @@ def _dual_cut(dom, rng):
     fermionic insertion pair transports it."""
     corners = bulk_corners(dom)
     a, b = rng.sample(corners, 2)
-    st = exact._Transport(make_cover(dom, []))
+    cov = make_cover(dom, [])
     path = bfs_path(a, lambda c: neighbors_in(c, CORNER_STEPS, dom.corners),
                     lambda c: c == b)
+    sign, cut = 1, frozenset()
     for c1, c2 in zip(path, path[1:]):
-        st.step(c1, c2)
-    assert st.gamma
-    return st.gamma
+        sign, cut = exact._advance(cov, sign, cut, c1, c2)
+    assert cut
+    return cut
 
 
 # plus, free, minus and plus runs on the 3x3 block's loop of 12 edges
@@ -287,16 +287,6 @@ def test_overflow_is_an_error():
 # -- cross-checks beyond brute-force reach ----------------------------------
 
 
-def _field_error(dom, cov, src):
-    field = fermion_field(dom, cov, src)
-    assert set(field) == set(dom.corners)
-    obs = solve_observable(dom, cov, src).observable()
-    vals = {c: v for c, v in field.items() if not isinstance(v, tuple)}
-    sup = max(abs(v) for v in vals.values())
-    return max(abs(v - obs[c]) / max(abs(v), 1e-2 * sup)
-               for c, v in vals.items())
-
-
 def test_solver_matches_oracle_on_8x8_with_arc_and_branch_pair():
     rng = random.Random(8)
     loop = 2 * (8 + 8)
@@ -306,7 +296,7 @@ def test_solver_matches_oracle_on_8x8_with_arc_and_branch_pair():
                                       (WIRED, loop - start - arc)])
     ram = rng.sample(sorted(dom.vertices), 2)
     cov = make_cover(dom, ram)
-    assert _field_error(dom, cov, inner_corner(dom, avoid=set(ram))) < 1e-10
+    assert field_error(dom, cov, inner_corner(dom, avoid=set(ram)))[0] < 1e-10
 
 
 def test_pfaffian_identity_k4_on_8x8():
@@ -325,7 +315,7 @@ def test_solver_matches_oracle_around_a_hole(labels):
     dom = MeshDomain(1.0, square(8) - HOLE_2X2, list(labels))
     assert len(dom.boundary_loops) == 2
     cov = make_cover(dom, [])
-    assert _field_error(dom, cov, inner_corner(dom)) < 1e-10
+    assert field_error(dom, cov, inner_corner(dom))[0] < 1e-10
 
 
 @pytest.mark.parametrize("inner", [WIRED, FREE])
@@ -337,7 +327,7 @@ def test_free_arc_as_long_as_the_hole_loop_matches_the_oracle(k, inner):
                      [[(WIRED, 5), (FREE, k), (WIRED, 39 - k)], inner])
     assert [len(loop) for loop in dom.boundary_loops] == [44, 8]
     cov = make_cover(dom, [])
-    assert _field_error(dom, cov, inner_corner(dom)) < 1e-10
+    assert field_error(dom, cov, inner_corner(dom))[0] < 1e-10
 
 
 def _wired_as_plus(dom) -> PMBoundarySpec:
@@ -382,4 +372,4 @@ def test_solver_matches_oracle_around_an_enclosing_wired_hole(make):
     must not take it."""
     dom = make()
     cov = make_cover(dom, [])
-    assert _field_error(dom, cov, inner_corner(dom)) < 1e-10
+    assert field_error(dom, cov, inner_corner(dom))[0] < 1e-10

@@ -7,7 +7,7 @@ from conftest import bulk_corners
 from isinglab.exact import (
     BETA_CRIT, MAX_FRONTIER, Enumeration, EnumerationError, MixedContent,
     corr_disorder_spin, corr_energy, corr_mixed, corr_pm, corr_spin,
-    fermion_field, fermion_multipoint, obs_fermion, partition_function,
+    fermion_field, fermion_multipoint, partition_function,
 )
 from isinglab.lattice import (
     DIAG_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, base_phase,
@@ -152,15 +152,13 @@ def test_corr_pm_routes_and_symmetries():
     assert isinstance(val, float) and val != 0.0
 
 
-def test_obs_fermion_split_corner_base_case():
+def test_field_split_corner_base_case():
+    """The field's value at its source is the split pair (eta^2, -eta^2)."""
     dom = build_rectangle(1.0, 3, 3)
     cov = make_cover(dom, [])
     src = inner_corner(dom)
     eta = corner_phase(CornerPoint(src))
-    assert obs_fermion(dom, cov, src, CornerPoint(src, 0)) == pytest.approx(
-        eta * eta)
-    assert obs_fermion(dom, cov, src, CornerPoint(src, 1)) == pytest.approx(
-        -eta * eta)
+    assert fermion_field(dom, cov, src)[src] == (eta * eta, -eta * eta)
 
 
 @pytest.mark.parametrize("ram,arcs", [

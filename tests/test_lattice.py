@@ -7,9 +7,9 @@ import pytest
 
 from isinglab.exact import Enumeration
 from isinglab.lattice import (
-    AXIS_STEPS, CornerPoint, MeshDomain, PMBoundarySpec, base_phase,
-    base_phases, build_annulus, build_rectangle, corner_neighbors,
-    corner_phase, edge_key, make_cover, sheet_sign, FREE,
+    AXIS_STEPS, CORNER_STEPS, CornerPoint, MeshDomain, PMBoundarySpec,
+    base_phase, base_phases, bfs_path, build_annulus, build_rectangle,
+    corner_neighbors, corner_phase, edge_key, make_cover, neighbors_in, FREE,
     WIRED, reduce_mod2,
 )
 
@@ -97,7 +97,9 @@ def test_make_cover_outside_rejected():
             make_cover(d, [point, (2, 2)])
 
 
-def test_sheet_sign_loops():
+def test_path_sign_loops():
+    """A small corner loop about a face has the spinor's monodromy -1,
+    times -1 for the one cut crossing when the face is ramified."""
     d = build_rectangle(1.0, 5, 5)
     duals = sorted(d.duals)
     inner = [u for u in duals if all(
@@ -109,14 +111,19 @@ def test_sheet_sign_loops():
         return [(u[0] + 1, u[1]), (u[0], u[1] + 1), (u[0] - 1, u[1]),
                 (u[0], u[1] - 1), (u[0] + 1, u[1])]
 
-    assert sheet_sign(cov, small_loop(u1)) == -1
-    far = next(u for u in duals if u not in (u1, u2))
-    assert sheet_sign(cov, small_loop(far)) == 1
+    assert cov.path_sign(small_loop(u1)) == 1
+    far = next(u for u in inner if u not in (u1, u2))
+    assert cov.path_sign(small_loop(far)) == -1
     # concatenation multiplies signs
-    p1 = small_loop(u1)
-    p2 = small_loop(u1)
-    assert sheet_sign(cov, p1[:-1] + p2) == sheet_sign(cov, p1) * sheet_sign(
-        cov, p2)
+    a, b = small_loop(u1), small_loop(far)
+    ab = bfs_path(a[-1], lambda c: neighbors_in(c, CORNER_STEPS, d.corners),
+                  lambda c: c == b[0])
+    for p, q in ((a, a), (b, b), (a, ab), (ab, b)):
+        assert cov.path_sign(p[:-1] + q) == (cov.path_sign(p)
+                                             * cov.path_sign(q))
+    for bad in ([(1, 0), (3, 0)], [(0, 0), (1, 1)], [(1, 0), (1, 0)]):
+        with pytest.raises(ValueError, match="not a corner step"):
+            cov.path_sign(bad)
 
 
 def test_corner_phase_table_and_sheet():

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import HOLE_2X2, bulk_corners, square
+from conftest import HOLE_2X2, bulk_corners, field_error, square
 from isinglab.exact import EnumerationError, fermion_field
 from isinglab.lattice import (FREE, WIRED, MeshDomain, base_phase,
                               build_annulus, build_rectangle,
@@ -17,18 +17,6 @@ from isinglab.sholo import (
     discrete_P, discrete_P_split, discrete_Q, integrate_H, boundary_H_spread,
     solve_observable, stencil_signs,
 )
-
-
-def field_error(dom, cov, src):
-    field = fermion_field(dom, cov, src)
-    assert set(field) == set(dom.corners)
-    sol = solve_observable(dom, cov, src)
-    obs = sol.observable()
-    vals = {c: v for c, v in field.items() if not isinstance(v, tuple)}
-    sup = max(abs(v) for v in vals.values())
-    worst = max(abs(v - obs[c]) / max(abs(v), 1e-2 * sup)
-                for c, v in vals.items())
-    return worst, sol
 
 
 def test_solver_matches_enumeration_wired():
