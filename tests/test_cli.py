@@ -176,6 +176,22 @@ def test_square_error_reads_the_observable_at_the_probe(monkeypatch, pair):
     assert cli._square_observable_error(46, *pair) == got
 
 
+def test_a_square_error_builds_no_python_set(monkeypatch):
+    """The ladder's domain keeps its geometry in arrays: a solve and a
+    probe read build none of the set and dict views."""
+    built = []
+
+    def keep_domain(*args, **kwargs):
+        built.append(build_rectangle(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(cli.lattice, "build_rectangle", keep_domain)
+    cli._square_observable_error(24, *_PROBE_PAIRS[0])
+    (dom,) = built
+    assert not {"vertices", "corners", "duals", "shol_edges",
+                "interior_edges", "crossing_edges",
+                "vertex_index"} & set(vars(dom))
+
+
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from isinglab.lattice import (FREE, WIRED, MeshDomain, base_phase,
                               build_annulus, build_rectangle,
                               corner_neighbors, edge_midpoint, inner_corner,
                               make_cover, transport_side)
+from isinglab import sholo
 from isinglab.sholo import (
     SolveError, boundary_pairs, cauchy_recover, discrete_exponential,
     discrete_P, discrete_P_split, discrete_Q, integrate_H, boundary_H_spread,
@@ -159,6 +161,68 @@ def test_square_solve_matches_dense_least_squares(make):
     assert sol.shape == A.shape
     assert sol.residual < 1e-12
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [m for _, m in _SQUARE_SYSTEMS],
+                         ids=[name for name, _ in _SQUARE_SYSTEMS])
+def test_assembly_is_the_dense_reference_exactly(make):
+    """Every entry of A and b, and the order of the unknowns, as the
+    edge-by-edge reference builds them."""
+    dom, ram = make()
+    cov = make_cover(dom, ram)
+    src = inner_corner(dom, avoid=set(ram))
+    want_A, want_b, unknowns = dense_system(dom, cov, src)
+    A, b, corners = sholo._assemble(dom, cov, src, base_phase(src))
+    assert np.array_equal(A.toarray(), want_A)
+    assert np.array_equal(b, want_b)
+    assert list(map(tuple, corners.tolist())) == unknowns
+
+
+class _Factor:
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, *args, **kwargs):
+        return self._lu.solve(*args, **kwargs)
+
+
+class _CountingSpla:
+    """Stands in for scipy.sparse.linalg inside sholo: splu checks the
+    panel width and records how many of its earlier factors are alive."""
+
+    def __init__(self, module):
+        self._module = module
+        self._factors = []
+        self.alive = []
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def splu(self, A, **kwargs):
+        assert kwargs == {"panel_size": 4}
+        self.alive.append(sum(f() is not None for f in self._factors))
+        lu = _Factor(self._module.splu(A, **kwargs))
+        self._factors.append(weakref.ref(lu))
+        return lu
+
+
+@pytest.mark.parametrize("name", ["annulus_8.6_ramified",
+                                  "annulus_11.03_ramified"])
+def test_a_second_factorization_releases_the_first(monkeypatch, name):
+    """The systems that refactor hold one LU factor at a time, each made
+    in narrow panels."""
+    dom, ram = dict(_SQUARE_SYSTEMS)[name]()
+    stand_in = _CountingSpla(sholo.spla)
+    monkeypatch.setattr(sholo, "spla", stand_in)
+    solve_observable(dom, make_cover(dom, ram), inner_corner(dom, set(ram)))
+    assert stand_in.alive == [0, 0]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 3), (2, 3)])
+def test_square_solve_refuses_a_system_without_one_redundant_row(shape):
+    A = sholo.sp.csr_matrix(np.ones(shape))
+    with pytest.raises(SolveError, match="expected one redundant row"):
+        sholo._square_solve(A, np.ones(shape[0]))
 
 
 _ARRAY_FIELDS = {
