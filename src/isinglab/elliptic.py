@@ -91,28 +91,6 @@ def _sn_cn_dn(zeta: complex, q: float):
     return sn, cn, dn
 
 
-# -- modulus bookkeeping ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Derived quantities of the annulus of modulus p."""
-
-    p: float
-    tau: complex
-    nome: float
-    k: float
-    K: float
-    Kprime: float
-
-    @classmethod
-    def from_modulus(cls, p: float) -> "EllipticModulus":
-        q = _nome(p)
-        tau = 1j * math.pi / p
-        k, K = _modulus_from_nome(q)
-        return cls(p, tau, q, k, K, K * math.pi / p)
-
-
 # -- Weierstrass functions with half-periods (p, i pi) -----------------------
 
 

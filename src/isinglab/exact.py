@@ -468,12 +468,6 @@ def _as_corner(c) -> CornerPoint:
     return CornerPoint(tuple(c), 0)
 
 
-def _check_vertex_cover(cover: DoubleCover):
-    if cover.ram_dual:
-        raise EnumerationError(
-            "fermionic observables need a cover ramified at vertices only")
-
-
 def _advance(cover: DoubleCover, sign: int, cut: frozenset, c1, c2):
     """The walk state (sign, cut) carried along the corner step c1 -> c2.
 
@@ -523,7 +517,6 @@ def fermion_field(domain: MeshDomain, cover: DoubleCover, source) -> dict:
         raise EnumerationError(
             "source must be a corner at a vertex of the domain")
     en = Enumeration(domain)
-    _check_vertex_cover(cover)
     ram = reduce_mod2(cover.ram_primal)
     parents = bfs(src.pos, lambda c: _walk_steps(domain, c))
     # each corner's state extends its parent's by the step between them
@@ -566,7 +559,6 @@ def fermion_multipoint(domain: MeshDomain, cover: DoubleCover, corners,
     if len(set(pos)) != len(pos):
         raise EnumerationError("corner positions must be distinct")
     en = Enumeration(domain)
-    _check_vertex_cover(cover)
     ram = reduce_mod2(cover.ram_primal)
     sign, cut = 1, frozenset()
     phase = complex(1.0)

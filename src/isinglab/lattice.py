@@ -17,7 +17,6 @@ logic is exact integer arithmetic; delta only scales embeddings.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -138,10 +137,6 @@ def reduce_mod2(points) -> tuple:
 
 def is_primal(c: Coord) -> bool:
     return c[0] % 2 == 0 and c[1] % 2 == 0 and (c[0] + c[1]) % 4 == 0
-
-
-def is_dual(c: Coord) -> bool:
-    return c[0] % 2 == 0 and c[1] % 2 == 0 and (c[0] + c[1]) % 4 == 2
 
 
 def edge_key(a: Coord, b: Coord) -> Edge:
@@ -488,37 +483,6 @@ class MeshDomain:
                     cur = None
         return arcs
 
-    def euler_characteristic(self) -> int:
-        faces = sum(
-            1 for u in self.duals
-            if all((u[0] + s[0], u[1] + s[1]) in self.vertices for s in AXIS_STEPS))
-        return len(self.vertices) - len(self.interior_edges) + faces
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        loops_runs = []
-        for loop in self.boundary_loops:
-            runs = []
-            for oe in self.loop_edges(loop):
-                lab = self.edge_label[edge_key(*oe)]
-                if runs and runs[-1][0] == lab:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([lab, 1])
-            loops_runs.append(runs)
-        return json.dumps({
-            "delta": self.delta,
-            "vertices": self.vertex_xy.tolist(),
-            "arc_runs": loops_runs,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeshDomain":
-        data = json.loads(text)
-        specs = [[(lab, n) for lab, n in runs] for runs in data["arc_runs"]]
-        return cls(data["delta"], np.array(data["vertices"]), specs)
-
 
 def build_rectangle(delta: float, width: int, height: int,
                     arc_spec=WIRED) -> MeshDomain:
@@ -593,22 +557,12 @@ def _prune_pinches(verts: set[Coord]) -> set[Coord]:
 
 @dataclass
 class DoubleCover:
-    """Ramification data plus an explicit branch cut.
+    """A double cover ramified at primal vertices: the ramification
+    vertices and a branch cut of primal edges, whose mod-2 boundary is the
+    ramification set."""
 
-    The cut holds dual edges pairing the dual ramification points and
-    primal edges pairing the primal ones: its mod-2 boundary in each graph
-    is that graph's ramification set.  A primal and a dual edge never
-    coincide, so one set holds both.
-    """
-
-    domain: MeshDomain
     ram_primal: frozenset[Coord] = frozenset()
-    ram_dual: frozenset[Coord] = frozenset()
     cut: frozenset[Edge] = frozenset()
-
-    def boundary_mod2(self, which: str) -> set[Coord]:
-        ends = reduce_mod2(x for e in self.cut for x in e)
-        return {x for x in ends if is_primal(x) == (which == "primal")}
 
     def crosses(self, c1: Coord, c2: Coord) -> bool:
         """Whether the corner step c1 -> c2 crosses the branch cut."""
@@ -633,74 +587,38 @@ class DoubleCover:
 
 
 def make_cover(domain: MeshDomain, points) -> DoubleCover:
-    """Double cover ramified at the given primal vertices and/or dual faces.
+    """Double cover ramified at the points that occur an odd number of
+    times, each a vertex of the domain; any other point raises ValueError
+    naming it.
 
-    Ramification points are paired greedily by graph distance (lexicographic
-    tie-breaks); an odd dual leftover is routed across the outer boundary.
+    The vertices are paired greedily in sorted order: the first left is
+    joined to the nearest other by graph distance (ties to the least
+    vertex), and the cut holds the edges of their shortest path.
     """
-    odd = reduce_mod2(points)
-    prim = [p for p in odd if is_primal(p)]
-    dual = [p for p in odd if is_dual(p)]
-    for p in odd:
-        if not (is_primal(p) or is_dual(p)):
-            raise ValueError(
-                f"ramification point is neither a vertex nor a face: {p}")
-    for p in prim:
+    ram = reduce_mod2(points)
+    for p in ram:
+        if not is_primal(p):
+            raise ValueError(f"ramification point is not a primal vertex: {p}")
         if p not in domain.vertices:
             raise ValueError(f"ramification vertex outside domain: {p}")
-    for u in dual:
-        if u not in domain.duals:
-            raise ValueError(f"ramification face outside domain: {u}")
-    if len(prim) % 2 == 1:
+    if len(ram) % 2 == 1:
         raise ValueError("odd number of primal ramification points")
 
-    def path_to(start, goal, neigh):
-        path = bfs_path(start, neigh, goal)
-        if path is None:
-            raise ValueError("no path found")
-        return path
-
-    def pair_up(pts, neigh):
-        cut: set[Edge] = set()
-        todo = list(pts)
-        while todo:
-            a = todo.pop(0)
-            if not todo:
-                return cut, a
-            paths = [(path_to(a, lambda c, b=b: c == b, neigh), b)
-                     for b in todo]
-            paths.sort(key=lambda pb: (len(pb[0]), pb[1]))
-            path, b = paths[0]
-            todo.remove(b)
-            for i in range(len(path) - 1):
-                e = edge_key(path[i], path[i + 1])
-                cut.symmetric_difference_update({e})
-        return cut, None
-
-    def primal_neigh(c):
+    def neighbors(c):
         return neighbors_in(c, DIAG_STEPS, domain.vertices)
 
-    def dual_neigh(c):
-        return neighbors_in(c, DIAG_STEPS, domain.duals)
-
-    cut_p, _ = pair_up(prim, primal_neigh)
-    cut_d, leftover = pair_up(dual, dual_neigh)
-    if leftover is not None:
-        # route the unpaired face across the outer boundary loop
-        outer = set(domain.boundary_loops[0])
-        path = path_to(leftover, lambda c: c in outer, dual_neigh)
-        for i in range(len(path) - 1):
-            cut_d.symmetric_difference_update({edge_key(path[i], path[i + 1])})
-        u = path[-1]
-        for s in DIAG_STEPS:
-            w = (u[0] + s[0], u[1] + s[1])
-            if w not in domain.duals:
-                cut_d.symmetric_difference_update({edge_key(u, w)})
-                break
-        else:
-            raise ValueError("outer boundary face has no outward dual edge")
-    return DoubleCover(domain, frozenset(prim), frozenset(dual),
-                       frozenset(cut_p | cut_d))
+    cut: set[Edge] = set()
+    todo = list(ram)
+    while todo:
+        a = todo.pop(0)
+        paths = [bfs_path(a, neighbors, lambda c, b=b: c == b) for b in todo]
+        if None in paths:
+            raise ValueError(f"no path from the ramification vertex {a}")
+        path = min(paths, key=lambda p: (len(p), p[-1]))
+        todo.remove(path[-1])
+        cut.symmetric_difference_update(
+            edge_key(x, y) for x, y in zip(path, path[1:]))
+    return DoubleCover(frozenset(ram), frozenset(cut))
 
 
 def _run_labels(domain: MeshDomain, runs_per_loop, allowed,

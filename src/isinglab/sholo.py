@@ -14,10 +14,10 @@ system asserted.  The sparse matrix and its factorization come from scipy,
 whose modules are imported by the first solve: the rest of isinglab needs
 only numpy.
 
-Also here: the full-plane discrete analogues of 1/z and 1/sqrt(z) built
-from discrete exponentials, the integrated quadratic form H, and the
-contour formula recovering a spinor's value next to its ramification
-point.
+Also here: the full-plane discrete analogues of 1/z and 1/sqrt(z) at
+mesh 1, built from discrete exponentials, the integrated quadratic form
+H, and the contour formula recovering a spinor's value next to its
+ramification point.
 """
 
 from __future__ import annotations
@@ -196,14 +196,11 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
     """Unique s-holomorphic spinor whose split source value is pinned to
     the source's corner phase.
 
-    The cover may be ramified at primal vertices only.  The assembled
-    system has one redundant row; it is solved square, without that row,
-    and raises SolveError if the residual of the full system exceeds
-    residual_tol * |rhs| (which would signal an inconsistent assembly,
-    since the observable itself solves the system exactly).
+    The assembled system has one redundant row; it is solved square,
+    without that row, and raises SolveError if the residual of the full
+    system exceeds residual_tol * |rhs| (which would signal an inconsistent
+    assembly, since the observable itself solves the system exactly).
     """
-    if cover.ram_dual:
-        raise SolveError("covers ramified at dual vertices are not supported")
     src = source if isinstance(source, CornerPoint) else CornerPoint(tuple(source))
     # the primal neighbour of a non-corner point is never a vertex
     primal = np.array(src.primal)
@@ -446,9 +443,18 @@ def _p_diamond(a, z) -> complex:
     return base_phase(a).conjugate() * _kernel_K(a, z)
 
 
-def discrete_P(a, z, delta: float = 1.0) -> complex:
-    """Discrete analogue of 1/z: the s-holomorphic kernel with split values
-    +-eta_a at the corner a.  Both arguments are corner grid coordinates.
+def _extension(kernel, m, eta) -> float:
+    """The s-holomorphic extension of kernel to the corner of phase eta
+    beside the edge midpoint m, as a real multiple of eta: the projection
+    on eta of kernel's values at the corners above and below m."""
+    return (eta.conjugate()
+            * (kernel((m[0], m[1] + 1)) + kernel((m[0], m[1] - 1)))).real
+
+
+def discrete_P(a, z) -> complex:
+    """Discrete analogue of 1/z at mesh 1: the s-holomorphic kernel with
+    split values +-eta_a at the corner a.  Both arguments are corner grid
+    coordinates.
 
     Values on a's own sublattice come from the s-holomorphic extension
     through the stencil farther from a.
@@ -457,29 +463,26 @@ def discrete_P(a, z, delta: float = 1.0) -> complex:
     if a == z:
         raise ValueError("P is split at its base corner; use discrete_P_split")
     if a[0] % 2 == 1:
-        return _ROT_CW_PHASE * discrete_P(_rot_cw(a), _rot_cw(z), delta)
+        return _ROT_CW_PHASE * discrete_P(_rot_cw(a), _rot_cw(z))
     if z[0] % 2 == 1:
-        return _p_diamond(a, z) / delta
+        return _p_diamond(a, z)
     mids = [(z[0] + 1, z[1]), (z[0] - 1, z[1])]
     m = max(mids, key=lambda q: ((q[0] - a[0]) ** 2 + (q[1] - a[1]) ** 2, q))
-    c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
-    val = _p_diamond(a, c1) + _p_diamond(a, c2)
     eta = base_phase(z)
-    return eta * (eta.conjugate() * val).real / delta
+    return eta * _extension(lambda c: _p_diamond(a, c), m, eta)
 
 
-def discrete_P_split(a, delta: float = 1.0):
+def discrete_P_split(a):
     """The split pair (P(a^+), P(a^-)) at the base corner."""
     a = tuple(a)
     if a[0] % 2 == 1:
-        plus, minus = discrete_P_split(_rot_cw(a), delta)
+        plus, minus = discrete_P_split(_rot_cw(a))
         return _ROT_CW_PHASE * plus, _ROT_CW_PHASE * minus
+    eta = base_phase(a)
     out = {}
     for m in ((a[0] + 1, a[1]), (a[0] - 1, a[1])):
-        c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
-        val = _p_diamond(a, c1) + _p_diamond(a, c2)
-        eta = base_phase(a)
-        out[transport_side(a, m)] = eta * (eta.conjugate() * val).real / delta
+        out[transport_side(a, m)] = eta * _extension(
+            lambda c: _p_diamond(a, c), m, eta)
     return out[1], out[-1]
 
 
@@ -505,8 +508,9 @@ def _q_diamond(z) -> complex:
     return val
 
 
-def discrete_Q(w, z, delta: float = 1.0) -> complex:
-    """Discrete analogue of 1/sqrt(z) ramified at the vertex or face w.
+def discrete_Q(w, z) -> complex:
+    """Discrete analogue of 1/sqrt(z) at mesh 1, ramified at the vertex or
+    face w.
 
     Section convention: single-valued off the ray pointing south of w;
     corners on that ray take their east-side continuation.  A face centre
@@ -516,16 +520,14 @@ def discrete_Q(w, z, delta: float = 1.0) -> complex:
     off = (z[0] - w[0], z[1] - w[1])
     pref = 1.0 if (w[0] + w[1]) % 4 == 0 else -1j
     if off[0] % 2 == 1:
-        return pref * _q_diamond(off) / math.sqrt(delta)
+        return pref * _q_diamond(off)
     if off[0] == 0 and off[1] < 0:
         m = (1, off[1])  # corners on the branch ray continue from the east
     else:
         mids = [(off[0] + 1, off[1]), (off[0] - 1, off[1])]
         m = max(mids, key=lambda q: (q[0] ** 2 + q[1] ** 2, q[0]))
-    c1, c2 = (m[0], m[1] + 1), (m[0], m[1] - 1)
-    val = _q_diamond(c1) + _q_diamond(c2)
     eta = base_phase(off)
-    return pref * eta * (eta.conjugate() * val).real / math.sqrt(delta)
+    return pref * eta * _extension(_q_diamond, m, eta)
 
 
 # -- integrated form H -------------------------------------------------------
@@ -660,7 +662,8 @@ def cauchy_recover(field: SpinorField, v, u, radius: int = 4) -> complex:
         if c not in dom.corners or c not in field.values:
             raise SolveError("contour leaves the domain")
         segs.append((c, g1, g2))
-    delta = dom.delta
+    # the kernels are at mesh 1
+    root_delta = math.sqrt(dom.delta)
 
     # Single-valued section of field * Q_u on the cut plane: propagate signs
     # by BFS from an anchor corner next to z, never re-entering the immediate
@@ -681,8 +684,8 @@ def cauchy_recover(field: SpinorField, v, u, radius: int = 4) -> complex:
             raise SolveError("section did not reach the contour")
         step = dom.position(g2) - dom.position(g1)
         total += (-2j * signs[c] * field.values[c]
-                  * discrete_Q(u, c, delta) * step)
+                  * (discrete_Q(u, c) / root_delta) * step)
     eta_z = base_phase(z)
     # relate the section's anchor sheet to the field's base sheet at z
     fix = _section_flip(z, root, field.cover, u)
-    return fix * 0.25 / math.sqrt(delta) * eta_z * total
+    return fix * 0.25 / root_delta * eta_z * total

@@ -32,9 +32,13 @@ def test_usage_errors(tmp_path, capsys):
                   _write_cfg(tmp_path, {"z1": [2.0, 0.5]}, "z1.json")],
                  ["converge-square", "--mesh-ladder", "16", "--config",
                   _write_cfg(tmp_path, {"z2": [0.5, 0.0]}, "z2.json")],
-                 # a corner and an edge midpoint are no ramification points
+                 # a corner, an edge midpoint and a face are no
+                 # ramification points
                  ["bvp", "--size", "4", "--config", _write_cfg(
-                     tmp_path, {"ramification": [[1, 0], [3, 3]]}, "r.json")]):
+                     tmp_path, {"ramification": [[1, 0], [3, 3]]}, "r.json")],
+                 ["bvp", "--size", "4", "--config", _write_cfg(
+                     tmp_path, {"ramification": [[2, 0], [4, 4]]},
+                     "face.json")]):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err, args
 

@@ -140,19 +140,6 @@ def test_square_with_a_hole_matches_the_reference():
         assert_matches_reference(MeshDomain(1.0, verts, specs), specs)
 
 
-def test_json_round_trip_matches_the_reference():
-    L = _loop_length(square(8) - square(2))
-    specs = [[(FREE, 6), (WIRED, L - 6)], [(WIRED, 4), (FREE, 8)]]
-    dom = MeshDomain(1.0, square(8) - square(2), specs)
-    back = MeshDomain.from_json(dom.to_json())
-    assert_matches_reference(back, specs)
-    assert back.to_json() == dom.to_json()
-    dom = build_annulus(1.0, 6.0, 3.0, FREE, WIRED)
-    back = MeshDomain.from_json(dom.to_json())
-    assert_matches_reference(back, [FREE, WIRED])
-    assert back.to_json() == dom.to_json()
-
-
 @pytest.mark.parametrize("verts,message", [
     ({(0, 0), (2, 0)}, r"not a primal vertex: \(2, 0\)"),
     ({(0, 0), (1, 1)}, r"not a primal vertex: \(1, 1\)"),

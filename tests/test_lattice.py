@@ -7,7 +7,7 @@ import pytest
 
 from isinglab.exact import Enumeration
 from isinglab.lattice import (
-    AXIS_STEPS, CORNER_STEPS, CornerPoint, MeshDomain, PMBoundarySpec,
+    AXIS_STEPS, CORNER_STEPS, DIAG_STEPS, CornerPoint, PMBoundarySpec,
     base_phase, base_phases, bfs_path, build_annulus, build_rectangle,
     corner_neighbors, corner_phase, edge_key, make_cover, neighbors_in, FREE,
     WIRED, reduce_mod2,
@@ -56,7 +56,6 @@ def test_counts_by_direct_construction():
 def test_annulus_topology_and_modulus():
     a = build_annulus(1.0, 20, 10)
     assert len(a.boundary_loops) == 2
-    assert a.euler_characteristic() == 0
     assert a.modulus == pytest.approx(math.log(2.0))
     a2 = build_annulus(0.25, 16, 8)
     assert a2.modulus == pytest.approx(math.log(2.0))
@@ -67,55 +66,61 @@ def test_make_cover_trivial_and_adjacent():
     d = build_rectangle(1.0, 4, 4)
     cov = make_cover(d, [])
     assert not cov.cut
-    us = sorted(d.duals)
-    u1 = next(u for u in us if all(
-        (u[0] + s[0], u[1] + s[1]) in d.vertices for s in AXIS_STEPS))
-    u2 = (u1[0] + 2, u1[1] + 2)
-    if u2 in d.duals:
-        cov2 = make_cover(d, [u1, u2])
-        assert cov2.cut == frozenset({edge_key(u1, u2)})
+    v1 = sorted(d.vertices)[5]
+    v2 = (v1[0] + 2, v1[1] + 2)
+    assert v2 in d.vertices
+    cov2 = make_cover(d, [v1, v2])
+    assert cov2.ram_primal == {v1, v2}
+    assert cov2.cut == frozenset({edge_key(v1, v2)})
 
 
 def test_make_cover_parity_scan():
+    """The odd-degree endpoints of the cut are the ramification vertices:
+    the points that occur an odd number of times."""
     d = build_rectangle(1.0, 5, 5)
     rng = random.Random(0)
-    duals = sorted(d.duals)
+    verts = sorted(d.vertices)
     for _ in range(100):
-        pts = rng.sample(duals, 4)
+        pts = rng.choices(verts, k=4)
         cov = make_cover(d, pts)
-        want = set(reduce_mod2(pts))
-        assert cov.boundary_mod2("dual") & set(d.duals) == want
+        want = reduce_mod2(pts)
+        assert reduce_mod2(x for e in cov.cut for x in e) == want
+        assert cov.ram_primal == set(want)
 
 
 def test_make_cover_outside_rejected():
     d = build_rectangle(1.0, 3, 3)
-    with pytest.raises(ValueError):
-        make_cover(d, [(998, 998)])
-    # a corner and an edge midpoint are named, not dropped
-    for point in ((1, 0), (3, 3)):
-        with pytest.raises(ValueError, match=re.escape(f"face: {point}")):
-            make_cover(d, [point, (2, 2)])
+    with pytest.raises(ValueError, match="outside domain"):
+        make_cover(d, [(998, 998), (2, 2)])
+    # a corner, an edge midpoint and a face, alone or paired with a vertex,
+    # are refused by name, not dropped
+    for pts in ([(1, 0), (2, 2)], [(3, 3), (2, 2)], [(2, 0)],
+                [(2, 0), (2, 2)]):
+        point = pts[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"not a primal vertex: {point}")):
+            make_cover(d, pts)
 
 
 def test_path_sign_loops():
-    """A small corner loop about a face has the spinor's monodromy -1,
-    times -1 for the one cut crossing when the face is ramified."""
+    """A small corner loop about a vertex has the spinor's monodromy -1,
+    times -1 for the one cut crossing when the vertex is ramified."""
     d = build_rectangle(1.0, 5, 5)
-    duals = sorted(d.duals)
-    inner = [u for u in duals if all(
-        (u[0] + s[0], u[1] + s[1]) in d.vertices for s in AXIS_STEPS)]
-    u1, u2 = inner[0], inner[-1]
-    cov = make_cover(d, [u1, u2])
+    inner = [v for v in sorted(d.vertices) if all(
+        (v[0] + s[0], v[1] + s[1]) in d.vertices for s in DIAG_STEPS)]
+    v1, v2 = inner[0], inner[-1]
+    cov = make_cover(d, [v1, v2])
 
-    def small_loop(u):
-        return [(u[0] + 1, u[1]), (u[0], u[1] + 1), (u[0] - 1, u[1]),
-                (u[0], u[1] - 1), (u[0] + 1, u[1])]
+    def small_loop(v):
+        return [(v[0] + 1, v[1]), (v[0], v[1] + 1), (v[0] - 1, v[1]),
+                (v[0], v[1] - 1), (v[0] + 1, v[1])]
 
-    assert cov.path_sign(small_loop(u1)) == 1
-    far = next(u for u in inner if u not in (u1, u2))
+    assert cov.path_sign(small_loop(v1)) == 1
+    assert cov.path_sign(small_loop(v2)) == 1
+    far = next(v for v in inner if v not in (v1, v2))
     assert cov.path_sign(small_loop(far)) == -1
     # concatenation multiplies signs
-    a, b = small_loop(u1), small_loop(far)
+    a, b = small_loop(v1), small_loop(far)
     ab = bfs_path(a[-1], lambda c: neighbors_in(c, CORNER_STEPS, d.corners),
                   lambda c: c == b[0])
     for p, q in ((a, a), (b, b), (a, ab), (ab, b)):
@@ -148,13 +153,6 @@ def test_base_phases_match_base_phase():
     want = [base_phase(c) for c in corners]
     assert want == [corner_phase(CornerPoint(c)) for c in corners]
     assert base_phases(np.array(corners)).tolist() == want
-
-
-def test_json_roundtrip():
-    d = build_rectangle(1.0, 4, 3, [(WIRED, 4), (FREE, 4), (WIRED, 6)])
-    d2 = MeshDomain.from_json(d.to_json())
-    assert d2.vertices == d.vertices
-    assert d2.edge_label == d.edge_label
 
 
 def test_pm_spec_separation_points():
