@@ -116,8 +116,11 @@ def bfs_path(start, neighbors, goal) -> list | None:
     finds it; None when no reachable node meets goal."""
     parents = bfs(start, neighbors, goal)
     end = next((c for c in parents if goal(c)), None)
-    if end is None:
-        return None
+    return None if end is None else path_to(parents, end)
+
+
+def path_to(parents: dict, end) -> list:
+    """The path from the start of a bfs to end, along its parent map."""
     path = [end]
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
@@ -611,10 +614,11 @@ def make_cover(domain: MeshDomain, points) -> DoubleCover:
     todo = list(ram)
     while todo:
         a = todo.pop(0)
-        paths = [bfs_path(a, neighbors, lambda c, b=b: c == b) for b in todo]
-        if None in paths:
+        parents = bfs(a, neighbors)
+        if any(b not in parents for b in todo):
             raise ValueError(f"no path from the ramification vertex {a}")
-        path = min(paths, key=lambda p: (len(p), p[-1]))
+        path = min((path_to(parents, b) for b in todo),
+                   key=lambda p: (len(p), p[-1]))
         todo.remove(path[-1])
         cut.symmetric_difference_update(
             edge_key(x, y) for x, y in zip(path, path[1:]))

@@ -4,15 +4,15 @@ The solver reconstructs the two-point fermionic observable as the unique
 spinor satisfying the four-corner relation at every interior and
 wired-crossing edge, the standard boundary pair relations, and a pinned
 split value at the source corner.  One real unknown per corner (the phase
-condition fixes the direction).  The system is assembled from integer
-index arrays straight into its sparse arrays, with temporaries within
-about twice its size, and has exactly one redundant row: without it the
-system is square and is solved by one sparse LU factorization made in
-narrow panels (two when the first choice of row is poorly conditioned, the
-first released before the second is made), with the residual of the full
-system asserted.  The sparse matrix and its factorization come from scipy,
-whose modules are imported by the first solve: the rest of isinglab needs
-only numpy.
+condition fixes the direction).  The system is assembled over every corner,
+the source's included, from integer index arrays straight into its sparse
+arrays, with temporaries within about twice its size: a square matrix that
+does not depend on the source, whose column at the source carries the split
+value into the right-hand side.  Each solve makes one sparse LU
+factorization in narrow panels, pins the source's unknown to zero, and
+asserts the residual of the system.  The sparse matrix and its
+factorization come from scipy, whose modules are imported by the first
+solve: the rest of isinglab needs only numpy.
 
 Also here: the full-plane discrete analogues of 1/z and 1/sqrt(z) at
 mesh 1, built from discrete exponentials, the integrated quadratic form
@@ -191,15 +191,18 @@ class SpinorField:
                 for cx, cy, v in zip(x, y, self.spinor.tolist())]
 
 
-def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
-                     residual_tol: float = 1e-10) -> SpinorField:
+# The residual bound of a solve, relative to |rhs|.
+_RESIDUAL_TOL = 1e-10
+
+
+def solve_observable(domain: MeshDomain, cover: DoubleCover,
+                     source) -> SpinorField:
     """Unique s-holomorphic spinor whose split source value is pinned to
     the source's corner phase.
 
-    The assembled system has one redundant row; it is solved square,
-    without that row, and raises SolveError if the residual of the full
-    system exceeds residual_tol * |rhs| (which would signal an inconsistent
-    assembly, since the observable itself solves the system exactly).
+    Raises SolveError if the residual of the system exceeds
+    _RESIDUAL_TOL * |rhs| (which would signal an inconsistent assembly,
+    since the observable itself solves the system exactly).
     """
     src = source if isinstance(source, CornerPoint) else CornerPoint(tuple(source))
     # the primal neighbour of a non-corner point is never a vertex
@@ -207,17 +210,19 @@ def solve_observable(domain: MeshDomain, cover: DoubleCover, source,
     pos, _ = lookup(codes(domain.vertex_xy), codes(primal))
     if (domain.vertex_xy[pos] != primal).any():
         raise SolveError("source must be a corner at a vertex of the domain")
-    eta_pin = base_phase(src.pos)
-    A, b, unknowns = _assemble(domain, cover, src.pos, eta_pin)
-    x = _square_solve(A, b)
-    res = float(np.linalg.norm(b - A @ x))
+    M, corners, row_mids = _assemble(domain, cover)
+    a, b = _source_rhs(M, corners, row_mids, src.pos)
+    x = _pinned_solve(M, b, a)
+    res = float(np.linalg.norm(b - M @ x))
     nb = float(np.linalg.norm(b))
-    if res > residual_tol * max(nb, 1e-30):
+    if res > _RESIDUAL_TOL * max(nb, 1e-30):
         raise SolveError(
-            f"residual {res:.3e} exceeds {residual_tol} * |rhs| ({nb:.3e})")
-    return SpinorField(domain, cover, src, eta_pin, unknowns,
-                       x * base_phases(unknowns), res / max(nb, 1e-300),
-                       A.shape)
+            f"residual {res:.3e} exceeds {_RESIDUAL_TOL} * |rhs| ({nb:.3e})")
+    unknowns = np.delete(corners, a, axis=0)
+    return SpinorField(domain, cover, src, base_phase(src.pos), unknowns,
+                       np.delete(x, a) * base_phases(unknowns),
+                       res / max(nb, 1e-300),
+                       (M.shape[0], len(unknowns)))
 
 
 # Stencil corners around an edge midpoint in the order W, S, N, E, in which
@@ -245,59 +250,44 @@ def _crossed_edge_codes(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return edge_codes(w, w + 2 * (c1 + c2 - 2 * w))
 
 
-def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
-    """The discrete boundary-value problem as a sparse matrix A, its
-    right-hand side b and the unknown corners (sorted; one real unknown x
-    per corner, the spinor being x * eta).
+def _assemble(domain: MeshDomain, cover: DoubleCover):
+    """The discrete boundary-value problem as a square sparse matrix M over
+    every corner, the corners (sorted; one real unknown x per corner, the
+    spinor being x * eta) and the edge midpoint of each four-corner row.
 
     Per s-holomorphic edge, in sorted order, the real then the imaginary
     part of the four-corner relation, skipping zero rows; then one row per
-    boundary pair.  The source's split value moves to the right-hand side.
-    A is written straight into its CSR arrays, columns ascending in each
-    row.
+    boundary pair.  M is written straight into its CSR arrays and returned
+    in CSC, the layout splu factors.
     """
-    keys = codes(domain.corner_xy)
-    kept = keys != codes(np.array(src))
-    corners, keys = domain.corner_xy[kept], keys[kept]
+    corners = domain.corner_xy
+    keys = codes(corners)
     mids = domain.shol_edge_xy.sum(axis=1) // 2
     cols, found = lookup(keys, codes(mids)[:, None] + _STENCIL_SHIFT)
+    if not found.all():
+        raise SolveError("a stencil corner lies outside the domain")
     coef = _STENCIL_COEF[mids.sum(axis=1) // 2 % 2]      # (edges, 4)
     # relative sheet of each stencil corner along the walk from N; with no
     # cut every step stays on its sheet
-    sheet = np.ones(coef.shape, dtype=np.int8)
     if cover.cut:
         walk = mids[:, None, :] + _STENCIL[_WALK]
         cut = np.array(list(cover.cut), dtype=np.int64).reshape(-1, 2, 2)
         flips = np.isin(_crossed_edge_codes(walk[:, :3], walk[:, 1:]),
                         edge_codes(cut[:, 0], cut[:, 1]))
-        sheet[:, _WALK[1:]] = np.cumprod(np.where(flips, -1, 1), axis=1)
-        coef *= sheet
-    rhs = {}
-    for i, j in zip(*np.nonzero(~found)):
-        c = tuple((mids[i] + _STENCIL[j]).tolist())
-        if c != src:
-            raise SolveError(f"stencil corner {c} outside the domain")
-        rhs[i] = rhs.get(i, 0j) - (_STENCIL_PM[j] * sheet[i, j]
-                                   * transport_side(src, tuple(mids[i]))
-                                   * eta_pin)
-        coef[i, j] = 0
+        coef[:, _WALK[1:]] *= np.cumprod(np.where(flips, -1, 1), axis=1)
     parts = coef.view(float).reshape(-1, 4, 2).transpose(0, 2, 1)
     entry = parts != 0                                   # (edges, 2, 4)
     counts = entry.sum(axis=2)                           # (edges, 2)
     has_row = counts > 0
-    for i, v in rhs.items():
-        has_row[i] |= (v.real != 0, v.imag != 0)
 
     pairs = boundary_pairs(domain, cover)
     ends = np.array([(c1, c2) for c1, c2, _ in pairs],
                     dtype=np.int64).reshape(-1, 2, 2)
     pos, found = lookup(keys, codes(ends))
     if not found.all():
-        raise SolveError("a boundary relation meets the source corner")
+        raise SolveError("a boundary relation leaves the domain")
     vals = np.stack([np.ones(len(pairs)),
                      -np.array([s for _, _, s in pairs], float)], axis=1)
-    swap = pos[:, 0] > pos[:, 1]
-    pos[swap], vals[swap] = pos[swap, ::-1], vals[swap, ::-1]
 
     n_edge, n_rows = int(counts.sum()), int(has_row.sum())
     indptr = np.empty(n_rows + len(pairs) + 1, dtype=np.int32)
@@ -310,47 +300,24 @@ def _assemble(domain: MeshDomain, cover: DoubleCover, src, eta_pin):
     data = np.empty(len(indices))
     data[:n_edge] = parts[entry]
     data[n_edge:] = vals.ravel()
-    b = np.zeros(len(indptr) - 1)
-    for i, v in rhs.items():
-        part = np.array([v.real, v.imag])[has_row[i]]
-        first = np.count_nonzero(has_row[:i])
-        b[first:first + len(part)] = part
-    A = sp.csr_matrix((data, indices, indptr),
-                      shape=(len(b), len(corners)))
-    return A, b, corners
+    M = sp.csr_matrix((data, indices, indptr),
+                      shape=(len(indptr) - 1, len(corners)))
+    return M.tocsc(), corners, mids[np.nonzero(has_row)[0]]
 
 
-# Weight ratio in the left null vector above which a second factorization
-# is made: it gains at least a digit of conditioning.  Symmetric domains
-# have near-ties (ratios of 1 to 2.5 on squares, annuli and holes), which
-# would only double the cost.
-_REFACTOR_GAIN = 10.0
-
-
-def _square_solve(A, b) -> np.ndarray:
-    """x with A x = b for a consistent A of shape (m + 1, m) and rank m.
-
-    One row is dropped and the square rest factored.  The rest is regular
-    when the dropped row carries weight in the left null vector y
-    (A^T y = 0), and its conditioning bound improves in proportion to that
-    weight.  The first guess is the row with the largest |b|; factoring
-    without it, y is one transposed solve.  A row whose |y| is more than
-    _REFACTOR_GAIN times larger is dropped instead, at the cost of a second
-    factorization.
-    """
-    nrow, m = A.shape
-    if nrow != m + 1:
-        raise SolveError(f"expected one redundant row, got a system of "
-                         f"shape {A.shape}")
-    drop = int(np.argmax(np.abs(b)))
-    lu, kept = _factor_without(A, drop)
-    y = lu.solve(A[drop].toarray().ravel(), trans="T")
-    far = int(np.argmax(np.abs(y)))
-    if abs(y[far]) > _REFACTOR_GAIN:        # y is -1 on the dropped row
-        drop = int(kept[far])
-        del lu                              # one factor resident at a time
-        lu, kept = _factor_without(A, drop)
-    return lu.solve(b[kept])
+def _source_rhs(M, corners, row_mids, src):
+    """The source's column a in M and the right-hand side b that its split
+    value puts on the system: minus M's entry in column a, times the side
+    of the source that the row's edge midpoint lies on, on each four-corner
+    row; zero on the boundary-pair rows."""
+    a = int(lookup(codes(corners), codes(np.array(src)))[0])
+    rows = M.indices[M.indptr[a]:M.indptr[a + 1]]
+    if (rows >= len(row_mids)).any():
+        raise SolveError("a boundary relation meets the source corner")
+    b = np.zeros(M.shape[0])
+    b[rows] = -M.data[M.indptr[a]:M.indptr[a + 1]] * [
+        transport_side(src, m) for m in map(tuple, row_mids[rows].tolist())]
+    return a, b
 
 
 # SuperLU's panel width, default 20: at 133,951 unknowns its peak RSS rise
@@ -358,10 +325,24 @@ def _square_solve(A, b) -> np.ndarray:
 _PANEL_SIZE = 4
 
 
-def _factor_without(A, drop: int):
-    """LU factor of A without row `drop`, and the rows kept."""
-    kept = np.delete(np.arange(A.shape[0]), drop)
-    return spla.splu(A[kept].tocsc(), panel_size=_PANEL_SIZE), kept
+def _pinned_solve(M, b, a: int) -> np.ndarray:
+    """x with M x = b and x_a = 0, for a regular M and a b that admits one,
+    that is b orthogonal to y = M^-T e_a, as x_a = y . b.  Rounding leaves
+    b a component along y, which a poorly conditioned M makes a large x_a:
+    each right-hand side is projected off y before it is solved, x_a is
+    zeroed, and one refinement step follows."""
+    if M.shape[0] != M.shape[1]:
+        raise SolveError(f"expected a square system, got shape {M.shape}")
+    lu = spla.splu(M, panel_size=_PANEL_SIZE)
+    y = lu.solve(np.eye(1, M.shape[0], a).ravel(), trans="T")
+
+    def solve(r):
+        x = lu.solve(r - (y @ r) / (y @ y) * y)
+        x[a] = 0
+        return x
+
+    x = solve(b)
+    return x + solve(b - M @ x)
 
 
 # -- discrete exponentials and full-plane kernels -----------------------------

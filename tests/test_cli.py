@@ -126,12 +126,15 @@ def test_annulus_eval_rotation_column(tmp_path):
 
 
 def test_converge_square_small_ladder(tmp_path):
+    """Pair A falls below the 2% bound by 1/delta = 64; at 24 its error
+    (0.046) is above it, and the command fails."""
     out = tmp_path / "conv.csv"
-    rc = run(["converge-square", "--mesh-ladder", "12,24", "--out", str(out),
-              "--config", _write_cfg(tmp_path, {"final_tol": 0.05})])
+    rc = run(["converge-square", "--mesh-ladder", "32,64", "--out", str(out)])
     assert rc == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 3
+    assert run(["converge-square", "--mesh-ladder", "12,24",
+                "--out", str(tmp_path / "coarse.csv")]) == 1
 
 
 # The probe pairs of converge-square and acceptance criterion 4.
